@@ -1,18 +1,19 @@
-"""Command-line frontend: computation, matrices, covers, chains, classes, verification, bench.
+"""Command-line frontend: computation, matrices, covers, chains, classes, verification.
 
 Exit codes: 0 success, 1 verification found violations, 2 malformed input (the
 error message names the offending flag). All output goes to the standard streams.
+
+Each subcommand handler reads the parsed arguments and returns one payload dict,
+rendered as JSON, and the lines of its line-oriented format (text, or csv for
+matrix); main() alone prints one or the other.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
-import time
-from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .engine import kostka_matrix, kostka_number
 from .partitions import (
@@ -26,29 +27,12 @@ from .partitions import (
     format_parts,
     parse_parts,
     partition,
-    partitions_of,
 )
 from .tableaux import SkewShape, enumerate_ssyt
 from .transfer_classes import count_in_class, signature_census, transfer_target
 from .verify import run_standard_suites
 
-
-@dataclass(frozen=True)
-class CliConfig:
-    """Parsed command line, still as text; domain parsing happens at the start of run()."""
-
-    command: str
-    shape: str | None = None
-    skew_inner: str | None = None
-    content: str | None = None
-    mu: str | None = None
-    nu: str | None = None
-    index: int | None = None
-    n: int | None = None
-    fmt: str = "text"
-    max_n: int = 6
-    parallelism: int = 1
-    seed: int = 0
+Output = tuple[dict, list[str]]
 
 
 class CliError(Exception):
@@ -60,117 +44,75 @@ class CliError(Exception):
         self.message = message
 
 
-def _parse_composition(flag: str, text: str | None) -> Parts:
-    if text is None:
-        raise CliError(flag, "is required")
+def _parse(flag: str, text: str, kind: Callable[[Sequence[int]], Parts] = partition) -> Parts:
     try:
-        return composition(parse_parts(text))
+        return kind(parse_parts(text))
     except ValueError as e:
         raise CliError(flag, str(e)) from None
 
 
-def _parse_partition(flag: str, text: str | None) -> Parts:
-    if text is None:
-        raise CliError(flag, "is required")
-    try:
-        return partition(parse_parts(text))
-    except ValueError as e:
-        raise CliError(flag, str(e)) from None
-
-
-def _parse_shape(config: CliConfig) -> SkewShape:
-    outer = _parse_partition("--shape", config.shape)
-    inner = _parse_partition("--skew-inner", config.skew_inner) if config.skew_inner is not None else ()
+def _parse_shape(args: argparse.Namespace) -> SkewShape:
+    outer = _parse("--shape", args.shape)
+    inner = _parse("--skew-inner", args.skew_inner) if args.skew_inner is not None else ()
     try:
         return SkewShape(outer, inner)
     except ValueError as e:
         raise CliError("--skew-inner", str(e)) from None
 
 
-def _require_format(config: CliConfig, allowed: tuple[str, ...]) -> str:
-    if config.fmt not in allowed:
-        raise CliError("--format", f"{config.command} supports {', '.join(allowed)}; got {config.fmt}")
-    return config.fmt
-
-
-def _run_compute(config: CliConfig) -> int:
-    fmt = _require_format(config, ("text", "json"))
-    shape = _parse_shape(config)
-    content = _parse_composition("--content", config.content)
+def _compute(args: argparse.Namespace) -> Output:
+    shape = _parse_shape(args)
+    content = _parse("--content", args.content, composition)
     try:
         value = kostka_number(shape, content)
     except SizeMismatchError as e:
         raise CliError("--content", str(e)) from None
-    if fmt == "text":
-        print(value)
-    else:
-        print(
-            json.dumps(
-                {
-                    "command": "compute",
-                    "shape": format_parts(shape.outer),
-                    "inner": format_parts(shape.inner),
-                    "content": format_parts(content),
-                    "count": str(value),
-                },
-                indent=2,
-            )
-        )
-    return 0
+    payload = {
+        "command": "compute",
+        "shape": format_parts(shape.outer),
+        "inner": format_parts(shape.inner),
+        "content": format_parts(content),
+        "count": str(value),
+    }
+    return payload, [str(value)]
 
 
-def _matrix_text(labels: list[str], values: Sequence[Sequence[int]]) -> str:
+def _matrix_text(labels: list[str], values: Sequence[Sequence[int]]) -> list[str]:
     rows = [[""] + labels]
     for label, row in zip(labels, values):
         rows.append([label] + [str(v) for v in row])
     widths = [max(len(row[c]) for row in rows) for c in range(len(rows[0]))]
-    return "\n".join("  ".join(cell.rjust(widths[c]) for c, cell in enumerate(row)).rstrip() for row in rows)
+    return ["  ".join(cell.rjust(widths[c]) for c, cell in enumerate(row)).rstrip() for row in rows]
 
 
-def _run_matrix(config: CliConfig) -> int:
-    fmt = _require_format(config, ("text", "csv", "json"))
-    if config.n is None or config.n < 0:
+def _matrix(args: argparse.Namespace) -> Output:
+    if args.n < 0:
         raise CliError("--n", "a non-negative integer is required")
-    matrix = kostka_matrix(config.n)
-    if fmt == "csv":
-        print(matrix.to_csv(), end="")
-    elif fmt == "json":
-        print(matrix.to_json())
-    else:
-        labels = [format_parts(p) for p in matrix.partitions]
-        print(_matrix_text(labels, matrix.values))
-    return 0
+    matrix = kostka_matrix(args.n)
+    if args.fmt == "csv":
+        return matrix.to_json_dict(), matrix.to_csv().splitlines()
+    labels = [format_parts(p) for p in matrix.partitions]
+    return matrix.to_json_dict(), _matrix_text(labels, matrix.values)
 
 
 def _move_json(move) -> dict:
     return {"kind": move.kind, "i": move.i, "j": move.j}
 
 
-def _run_covers(config: CliConfig) -> int:
-    fmt = _require_format(config, ("text", "json"))
-    mu = _parse_partition("--mu", config.mu)
+def _covers(args: argparse.Namespace) -> Output:
+    mu = _parse("--mu", args.mu)
     pairs = covers(mu)
-    if fmt == "text":
-        for move, target in pairs:
-            print(f"{display_parts(target)}  [{move.describe()}]")
-    else:
-        print(
-            json.dumps(
-                {
-                    "command": "covers",
-                    "mu": format_parts(mu),
-                    "covers": [{"target": format_parts(t), "move": _move_json(m)} for m, t in pairs],
-                },
-                indent=2,
-            )
-        )
-    return 0
+    payload = {
+        "command": "covers",
+        "mu": format_parts(mu),
+        "covers": [{"target": format_parts(t), "move": _move_json(m)} for m, t in pairs],
+    }
+    return payload, [f"{display_parts(target)}  [{move.describe()}]" for move, target in pairs]
 
 
-def _run_chain(config: CliConfig) -> int:
-    fmt = _require_format(config, ("text", "json"))
-    mu = _parse_partition("--mu", config.mu)
-    nu = _parse_partition("--nu", config.nu)
+def _chain(args: argparse.Namespace) -> Output:
+    mu = _parse("--mu", args.mu)
+    nu = _parse("--nu", args.nu)
     try:
         chain = cover_chain(mu, nu)
     except (SizeMismatchError, NotComparableError) as e:
@@ -178,34 +120,25 @@ def _run_chain(config: CliConfig) -> int:
     moves = []
     for before, after in zip(chain, chain[1:]):
         moves.append(next(m for m, t in covers(before) if t == after))
-    if fmt == "text":
-        print(display_parts(chain[0]))
-        for move, step in zip(moves, chain[1:]):
-            print(f"{display_parts(step)}  [{move.describe()}]")
-    else:
-        print(
-            json.dumps(
-                {
-                    "command": "chain",
-                    "mu": format_parts(mu),
-                    "nu": format_parts(nu),
-                    "chain": [format_parts(p) for p in chain],
-                    "moves": [_move_json(m) for m in moves],
-                },
-                indent=2,
-            )
-        )
-    return 0
+    payload = {
+        "command": "chain",
+        "mu": format_parts(mu),
+        "nu": format_parts(nu),
+        "chain": [format_parts(p) for p in chain],
+        "moves": [_move_json(m) for m in moves],
+    }
+    lines = [display_parts(chain[0])]
+    lines += [f"{display_parts(step)}  [{move.describe()}]" for move, step in zip(moves, chain[1:])]
+    return payload, lines
 
 
-def _run_classes(config: CliConfig) -> int:
-    fmt = _require_format(config, ("text", "json"))
-    shape = _parse_shape(config)
-    mu = _parse_composition("--mu", config.mu)
+def _classes(args: argparse.Namespace) -> Output:
+    shape = _parse_shape(args)
+    mu = _parse("--mu", args.mu, composition)
     if sum(mu) != shape.size:
         raise CliError("--mu", f"content total {sum(mu)} does not fill {shape.size} cells")
-    index = config.index
-    if index is None or index < 1:
+    index = args.index
+    if index < 1:
         raise CliError("--index", "a positive integer is required")
     try:
         nu = transfer_target(mu, index)
@@ -216,192 +149,127 @@ def _run_classes(config: CliConfig) -> int:
     signatures = sorted(set(mu_classes) | set(nu_classes), key=lambda s: (s.skeleton, s.available))
     mu_total = sum(mu_classes.values())
     nu_total = sum(nu_classes.values())
-    if fmt == "text":
-        print(
-            f"shape={format_parts(shape.outer)} inner={format_parts(shape.inner)} "
-            f"mu={format_parts(mu)} index={index} nu={format_parts(nu)}"
+    lines = [
+        f"shape={format_parts(shape.outer)} inner={format_parts(shape.inner)} "
+        f"mu={format_parts(mu)} index={index} nu={format_parts(nu)}"
+    ]
+    classes = []
+    for k, sig in enumerate(signatures, start=1):
+        mu_count, nu_count = count_in_class(sig, mu), count_in_class(sig, nu)
+        skeleton = sig.render_skeleton().splitlines()
+        singles = ",".join(str(x) for x in sig.row_counts)
+        lines.append(
+            f"class {k}: paired-columns={sig.paired_columns} row-singles={singles} "
+            f"mu-count={mu_count} nu-count={nu_count}"
         )
-        for k, sig in enumerate(signatures, start=1):
-            singles = ",".join(str(x) for x in sig.row_counts)
-            print(
-                f"class {k}: paired-columns={sig.paired_columns} row-singles={singles} "
-                f"mu-count={count_in_class(sig, mu)} nu-count={count_in_class(sig, nu)}"
-            )
-            for line in sig.render_skeleton().splitlines():
-                print(f"  {line}")
-        print(f"total: mu-count={mu_total} nu-count={nu_total}")
-    else:
-        print(
-            json.dumps(
-                {
-                    "command": "classes",
-                    "shape": format_parts(shape.outer),
-                    "inner": format_parts(shape.inner),
-                    "mu": format_parts(mu),
-                    "index": index,
-                    "nu": format_parts(nu),
-                    "classes": [
-                        {
-                            "skeleton": sig.render_skeleton().splitlines(),
-                            "paired_columns": sig.paired_columns,
-                            "row_counts": list(sig.row_counts),
-                            "mu_count": str(count_in_class(sig, mu)),
-                            "nu_count": str(count_in_class(sig, nu)),
-                        }
-                        for sig in signatures
-                    ],
-                    "mu_total": str(mu_total),
-                    "nu_total": str(nu_total),
-                },
-                indent=2,
-            )
+        lines += [f"  {line}" for line in skeleton]
+        classes.append(
+            {
+                "skeleton": skeleton,
+                "paired_columns": sig.paired_columns,
+                "row_counts": list(sig.row_counts),
+                "mu_count": str(mu_count),
+                "nu_count": str(nu_count),
+            }
         )
-    return 0
+    lines.append(f"total: mu-count={mu_total} nu-count={nu_total}")
+    payload = {
+        "command": "classes",
+        "shape": format_parts(shape.outer),
+        "inner": format_parts(shape.inner),
+        "mu": format_parts(mu),
+        "index": index,
+        "nu": format_parts(nu),
+        "classes": classes,
+        "mu_total": str(mu_total),
+        "nu_total": str(nu_total),
+    }
+    return payload, lines
 
 
-def _run_verify(config: CliConfig) -> int:
-    fmt = _require_format(config, ("text", "json"))
-    if config.max_n < 0:
+def _verify(args: argparse.Namespace) -> Output:
+    if args.max_n < 0:
         raise CliError("--max-n", "a non-negative integer is required")
-    if config.parallelism < 1:
+    if args.parallelism < 1:
         raise CliError("--parallelism", "a positive integer is required")
-    reports = run_standard_suites(config.max_n, config.parallelism)
+    reports = run_standard_suites(args.max_n, args.parallelism)
     total_violations = sum(len(r.violations) for r in reports)
-    if fmt == "text":
-        for report in reports:
-            print(report.to_text())
-        status = "pass" if total_violations == 0 else "FAIL"
-        print(
-            f"total: suites={len(reports)} checked={sum(r.checked for r in reports)} "
-            f"violations={total_violations} {status}"
-        )
-    else:
-        print(
-            json.dumps(
-                {
-                    "command": "verify",
-                    "max_n": config.max_n,
-                    "reports": [r.to_json_dict() for r in reports],
-                    "violations": total_violations,
-                },
-                indent=2,
-            )
-        )
-    return 0 if total_violations == 0 else 1
-
-
-def _run_bench(config: CliConfig) -> int:
-    fmt = _require_format(config, ("text", "json"))
-    rng = random.Random(config.seed)
-    pairs = []
-    for _ in range(40):
-        m = rng.randint(4, 8)
-        parts = partitions_of(m)
-        pairs.append((rng.choice(parts), rng.choice(parts)))
-    started = time.perf_counter()
-    enumerated = [len(enumerate_ssyt(SkewShape(lam), mu)) for lam, mu in pairs]
-    enum_elapsed = time.perf_counter() - started
-    local: dict[tuple, int] = {}
-    started = time.perf_counter()
-    computed = [kostka_number(SkewShape(lam), mu, cache=local) for lam, mu in pairs]
-    dp_elapsed = time.perf_counter() - started
-    mismatches = sum(1 for a, b in zip(enumerated, computed) if a != b)
-    if fmt == "text":
-        print(
-            f"bench seed={config.seed} cases={len(pairs)} "
-            f"enumeration={enum_elapsed:.3f}s dp={dp_elapsed:.3f}s mismatches={mismatches}"
-        )
-    else:
-        print(
-            json.dumps(
-                {
-                    "command": "bench",
-                    "seed": config.seed,
-                    "cases": len(pairs),
-                    "enumeration_seconds": round(enum_elapsed, 3),
-                    "dp_seconds": round(dp_elapsed, 3),
-                    "mismatches": mismatches,
-                },
-                indent=2,
-            )
-        )
-    return 0 if mismatches == 0 else 1
-
-
-_RUNNERS = {
-    "compute": _run_compute,
-    "matrix": _run_matrix,
-    "covers": _run_covers,
-    "chain": _run_chain,
-    "classes": _run_classes,
-    "verify": _run_verify,
-    "bench": _run_bench,
-}
-
-
-def run(config: CliConfig) -> int:
-    """Execute a parsed command; raises CliError on malformed domain input."""
-    return _RUNNERS[config.command](config)
+    status = "pass" if total_violations == 0 else "FAIL"
+    lines = [report.to_text() for report in reports]
+    lines.append(
+        f"total: suites={len(reports)} checked={sum(r.checked for r in reports)} "
+        f"violations={total_violations} {status}"
+    )
+    payload = {
+        "command": "verify",
+        "max_n": args.max_n,
+        "reports": [r.to_json_dict() for r in reports],
+        "violations": total_violations,
+    }
+    return payload, lines
 
 
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="kostka", description="Kostka numbers and the dominance order")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_format(p: argparse.ArgumentParser, choices: tuple[str, ...]) -> None:
-        p.add_argument("--format", dest="fmt", choices=choices, default="text")
+    # --format goes last, so that it ends every usage line
+    def finish(p: argparse.ArgumentParser, run: Callable[[argparse.Namespace], Output], formats=("text", "json")):
+        p.add_argument("--format", dest="fmt", choices=formats, default="text")
+        p.set_defaults(run=run)
 
     p = sub.add_parser("compute", help="count the semistandard fillings of a shape with a content")
     p.add_argument("--shape", required=True, help="outer partition, e.g. 3,1")
     p.add_argument("--skew-inner", help="inner partition for a skew shape")
     p.add_argument("--content", required=True, help="content composition, e.g. 1,1,1,1")
-    add_format(p, ("text", "json"))
+    finish(p, _compute)
 
     p = sub.add_parser("matrix", help="full Kostka matrix over the partitions of n")
     p.add_argument("--n", type=int, required=True)
-    add_format(p, ("text", "csv", "json"))
+    finish(p, _matrix, ("text", "csv", "json"))
 
     p = sub.add_parser("covers", help="dominance covers of a partition with box-move annotations")
     p.add_argument("--mu", required=True, help="partition, e.g. 3,1")
-    add_format(p, ("text", "json"))
+    finish(p, _covers)
 
     p = sub.add_parser("chain", help="saturated dominance chain from one partition down to another")
     p.add_argument("--mu", required=True, help="upper partition")
     p.add_argument("--nu", required=True, help="lower partition")
-    add_format(p, ("text", "json"))
+    finish(p, _chain)
 
     p = sub.add_parser("classes", help="tableau classes fixed away from an adjacent entry pair")
     p.add_argument("--shape", required=True, help="outer partition")
     p.add_argument("--skew-inner", help="inner partition for a skew shape")
     p.add_argument("--mu", required=True, help="content composition")
     p.add_argument("--index", type=int, required=True, help="entry pair index i (pairs i with i+1)")
-    add_format(p, ("text", "json"))
+    finish(p, _classes)
 
     p = sub.add_parser("verify", help="run the exhaustive verification suites")
     p.add_argument("--max-n", dest="max_n", type=int, default=6)
     p.add_argument("--parallelism", type=int, default=1)
-    add_format(p, ("text", "json"))
-
-    p = sub.add_parser("bench", help="time enumeration vs dynamic programming on a seeded workload")
-    p.add_argument("--seed", type=int, default=0)
-    add_format(p, ("text", "json"))
+    finish(p, _verify)
 
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     try:
-        namespace = _parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         code = e.code
         return code if isinstance(code, int) else 0 if code is None else 2
-    values = vars(namespace)
-    config = CliConfig(**{f: values[f] for f in CliConfig.__dataclass_fields__ if f in values})
     try:
-        return run(config)
+        payload, lines = args.run(args)
     except CliError as e:
         print(f"error: {e.flag}: {e.message}", file=sys.stderr)
         return 2
+    if args.fmt == "json":
+        print(json.dumps(payload, indent=2))
+    else:
+        for line in lines:
+            print(line)
+    # only verify reports violations; any found means exit 1
+    return 1 if payload.get("violations") else 0
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ from typing import Sequence
 def _validated(caps: Sequence[int]) -> tuple[int, ...]:
     caps = tuple(caps)
     for k, c in enumerate(caps):
-        if not isinstance(c, int) or c < 0:
+        if isinstance(c, bool) or not isinstance(c, int) or c < 0:
             raise ValueError(f"caps must be non-negative integers, got {c!r} at position {k + 1}")
     return caps
 

@@ -17,27 +17,20 @@ from __future__ import annotations
 import csv
 import io
 import json
-import time
 from dataclasses import dataclass, field
-from typing import Callable, MutableMapping, Sequence
+from typing import MutableMapping, Sequence
 
 from .partitions import (
     Parts,
     SizeMismatchError,
     composition,
-    dominates,
     format_parts,
     partition,
     partitions_of,
 )
-from .reports import Report
 from .tableaux import SkewShape
 
 _CACHE: dict[tuple, int] = {}
-
-# maximum number of memoized entries; None means unbounded (the default):
-# past the cap, results are still computed exactly, just not stored
-CACHE_MAX_ENTRIES: int | None = None
 
 
 def clear_cache() -> None:
@@ -98,8 +91,7 @@ def _kostka(outer: Parts, inner: Parts, content: Parts, memo: MutableMapping[tup
         reduced[r] = keep
 
     peel(0, budget)
-    if CACHE_MAX_ENTRIES is None or len(memo) < CACHE_MAX_ENTRIES:
-        memo[key] = total
+    memo[key] = total
     return total
 
 
@@ -165,105 +157,3 @@ def kostka_matrix(n: int, cache: MutableMapping[tuple, int] | None = None) -> Ko
         tuple(kostka_number(SkewShape(lam), mu, cache=cache) for mu in parts) for lam in parts
     )
     return KostkaMatrix(n=n, partitions=parts, values=values)
-
-
-CountFn = Callable[[SkewShape, Sequence[int]], int]
-
-
-def verify_positivity(max_n: int, count_fn: CountFn | None = None) -> Report:
-    """Check K(lam, mu) > 0 exactly when lam dominates mu, all pairs of each m <= max_n."""
-    fn = count_fn or kostka_number
-    started = time.perf_counter()
-    report = Report(name="positivity-iff-dominance")
-    for m in range(max_n + 1):
-        parts = partitions_of(m)
-        for lam in parts:
-            shape = SkewShape(lam)
-            for mu in parts:
-                report.checked += 1
-                positive = fn(shape, mu) > 0
-                if positive != dominates(lam, mu):
-                    report.violations.append(
-                        {
-                            "m": m,
-                            "lambda": format_parts(lam),
-                            "mu": format_parts(mu),
-                            "positive": positive,
-                            "dominates": dominates(lam, mu),
-                        }
-                    )
-    report.elapsed = time.perf_counter() - started
-    return report
-
-
-def canonical_box_skew_shapes(max_rows: int, max_cols: int, max_cells: int) -> list[SkewShape]:
-    """Translation-canonical skew shapes in a max_rows x max_cols box with 1..max_cells cells.
-
-    Canonical means the first row holds a cell and the inner partition is strictly
-    shorter than the outer one (so the last row does too and the shape is flush
-    left); shapes equal up to shifting the whole cell set are enumerated once.
-
-    With max_cols >= max_cells the family is complete for counting purposes: any
-    skew shape with at most max_rows rows and max_cells cells has the same filling
-    counts as a member. Translations preserve counts, and when two row blocks
-    share no column, sliding the upper block horizontally is a content-preserving
-    bijection on fillings; sliding every gap to its minimum leaves each row
-    starting at most one column past the previous row's end, so the whole shape
-    spans at most max_cells columns.
-    """
-    shapes = []
-    for outer_size in range(1, max_rows * max_cols + 1):
-        for outer in partitions_of(outer_size, max_part=max_cols):
-            if len(outer) > max_rows:
-                continue
-            for inner_size in range(max(0, outer_size - max_cells), outer_size):
-                for inner in partitions_of(inner_size, max_part=outer[0] - 1):
-                    if len(inner) >= len(outer):
-                        continue
-                    if any(inner[r] > outer[r] for r in range(len(inner))):
-                        continue
-                    shapes.append(SkewShape(outer, inner))
-    return shapes
-
-
-def verify_monotonicity(max_n: int, include_skew: bool = False, count_fn: CountFn | None = None) -> Report:
-    """Check K(shape, mu) <= K(shape, nu) whenever mu dominates nu.
-
-    Straight shapes run over all partitions of each m <= max_n. With include_skew,
-    translation-canonical skew shapes with up to max_n cells fitting a 4-row by
-    max_n-column box run as well, each on an isolated cache to keep the shared one
-    lean.
-    """
-    started = time.perf_counter()
-    report = Report(name="dominance-monotonicity")
-
-    def check(shape: SkewShape, label: str, fn: CountFn) -> None:
-        parts = partitions_of(shape.size)
-        counts = {mu: fn(shape, mu) for mu in parts}
-        for mu in parts:
-            for nu in parts:
-                if not dominates(mu, nu):
-                    continue
-                report.checked += 1
-                if counts[mu] > counts[nu]:
-                    report.violations.append(
-                        {
-                            "shape": label,
-                            "mu": format_parts(mu),
-                            "nu": format_parts(nu),
-                            "count_mu": counts[mu],
-                            "count_nu": counts[nu],
-                        }
-                    )
-
-    for m in range(max_n + 1):
-        for lam in partitions_of(m):
-            check(SkewShape(lam), format_parts(lam), count_fn or kostka_number)
-    if include_skew:
-        for shape in canonical_box_skew_shapes(4, max_n, max_n):
-            local: dict[tuple, int] = {}
-            fn = count_fn or (lambda sh, mu: kostka_number(sh, mu, cache=local))
-            label = f"{format_parts(shape.outer)}/{format_parts(shape.inner)}"
-            check(shape, label, fn)
-    report.elapsed = time.perf_counter() - started
-    return report

@@ -35,7 +35,7 @@ def partition(parts: Iterable[int]) -> Parts:
     while out and out[-1] == 0:
         out.pop()
     for k, p in enumerate(out):
-        if not isinstance(p, int) or p <= 0:
+        if isinstance(p, bool) or not isinstance(p, int) or p <= 0:
             raise ValueError(f"partition parts must be positive integers, got {p!r} at position {k + 1}")
         if k and out[k - 1] < p:
             raise ValueError(f"partition parts must be weakly decreasing, got {out[k - 1]} before {p}")
@@ -46,7 +46,7 @@ def composition(parts: Iterable[int]) -> Parts:
     """Canonicalize to a composition tuple: non-negative parts, trailing zeros dropped."""
     out = list(parts)
     for k, p in enumerate(out):
-        if not isinstance(p, int) or p < 0:
+        if isinstance(p, bool) or not isinstance(p, int) or p < 0:
             raise ValueError(f"composition parts must be non-negative integers, got {p!r} at position {k + 1}")
     while out and out[-1] == 0:
         out.pop()

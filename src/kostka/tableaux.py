@@ -95,7 +95,7 @@ class Tableau:
             if len(rows[r - 1]) != last - first + 1:
                 raise ValueError(f"row {r} needs {last - first + 1} entries, got {len(rows[r - 1])}")
             for e in rows[r - 1]:
-                if not isinstance(e, int) or e < 1:
+                if isinstance(e, bool) or not isinstance(e, int) or e < 1:
                     raise ValueError(f"entries must be positive integers, got {e!r} in row {r}")
         object.__setattr__(self, "rows", rows)
 
@@ -201,7 +201,7 @@ def enumerate_ssyt(shape: SkewShape, content: Sequence[int]) -> list[Tableau]:
     """
     content = tuple(content)
     for k, m in enumerate(content):
-        if not isinstance(m, int) or m < 0:
+        if isinstance(m, bool) or not isinstance(m, int) or m < 0:
             raise ValueError(f"content multiplicities must be non-negative, got {m!r} at position {k + 1}")
     if sum(content) != shape.size:
         raise SizeMismatchError(f"content total {sum(content)} does not fill {shape.size} cells")

@@ -2,11 +2,16 @@
 
 import json
 import re
+import shlex
+from pathlib import Path
+from textwrap import dedent
 
 import kostka.cli
-import kostka.engine
+import kostka.verify
 from kostka import Report, kostka_matrix
 from kostka.cli import main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(capsys, *argv):
@@ -25,13 +30,17 @@ class TestCompute:
             "--content", "2,2", "--format", "json",
         )
         assert code == 0 and err == ""
-        assert json.loads(out) == {
-            "command": "compute",
-            "shape": "3,2",
-            "inner": "1",
-            "content": "2,2",
-            "count": "2",
-        }
+        assert out == dedent(
+            """\
+            {
+              "command": "compute",
+              "shape": "3,2",
+              "inner": "1",
+              "content": "2,2",
+              "count": "2"
+            }
+            """
+        )
 
     def test_zero_count(self, capsys):
         code, out, _ = run(capsys, "compute", "--shape", "1,1", "--content", "2")
@@ -59,10 +68,7 @@ class TestMatrix:
     def test_json_round_trip(self, capsys):
         code, out, _ = run(capsys, "matrix", "--n", "5", "--format", "json")
         assert code == 0
-        data = json.loads(out)
-        expected = kostka_matrix(5)
-        assert data["n"] == 5
-        assert tuple(tuple(int(v) for v in row) for row in data["matrix"]) == expected.values
+        assert out == kostka_matrix(5).to_json() + "\n"
 
 
 class TestCovers:
@@ -72,11 +78,24 @@ class TestCovers:
     def test_json(self, capsys):
         code, out, _ = run(capsys, "covers", "--mu", "2,1", "--format", "json")
         assert code == 0
-        assert json.loads(out) == {
-            "command": "covers",
-            "mu": "2,1",
-            "covers": [{"target": "1,1,1", "move": {"kind": "column", "i": 1, "j": 3}}],
-        }
+        assert out == dedent(
+            """\
+            {
+              "command": "covers",
+              "mu": "2,1",
+              "covers": [
+                {
+                  "target": "1,1,1",
+                  "move": {
+                    "kind": "column",
+                    "i": 1,
+                    "j": 3
+                  }
+                }
+              ]
+            }
+            """
+        )
 
     def test_minimum_has_no_covers(self, capsys):
         code, out, _ = run(capsys, "covers", "--mu", "1,1,1")
@@ -98,13 +117,26 @@ class TestChain:
     def test_json(self, capsys):
         code, out, _ = run(capsys, "chain", "--mu", "3,1", "--nu", "2,2", "--format", "json")
         assert code == 0
-        assert json.loads(out) == {
-            "command": "chain",
-            "mu": "3,1",
-            "nu": "2,2",
-            "chain": ["3,1", "2,2"],
-            "moves": [{"kind": "row", "i": 1, "j": 2}],
-        }
+        assert out == dedent(
+            """\
+            {
+              "command": "chain",
+              "mu": "3,1",
+              "nu": "2,2",
+              "chain": [
+                "3,1",
+                "2,2"
+              ],
+              "moves": [
+                {
+                  "kind": "row",
+                  "i": 1,
+                  "j": 2
+                }
+              ]
+            }
+            """
+        )
 
     def test_trivial_chain(self, capsys):
         code, out, _ = run(capsys, "chain", "--mu", "2,1", "--nu", "2,1")
@@ -131,25 +163,35 @@ class TestClasses:
             capsys, "classes", "--shape", "2,1", "--mu", "2,1", "--index", "1", "--format", "json"
         )
         assert code == 0
-        assert json.loads(out) == {
-            "command": "classes",
-            "shape": "2,1",
-            "inner": "0",
-            "mu": "2,1",
-            "index": 1,
-            "nu": "1,2",
-            "classes": [
+        assert out == dedent(
+            """\
+            {
+              "command": "classes",
+              "shape": "2,1",
+              "inner": "0",
+              "mu": "2,1",
+              "index": 1,
+              "nu": "1,2",
+              "classes": [
                 {
-                    "skeleton": ["* *", "*"],
-                    "paired_columns": 1,
-                    "row_counts": [1, 0],
-                    "mu_count": "1",
-                    "nu_count": "1",
+                  "skeleton": [
+                    "* *",
+                    "*"
+                  ],
+                  "paired_columns": 1,
+                  "row_counts": [
+                    1,
+                    0
+                  ],
+                  "mu_count": "1",
+                  "nu_count": "1"
                 }
-            ],
-            "mu_total": "1",
-            "nu_total": "1",
-        }
+              ],
+              "mu_total": "1",
+              "nu_total": "1"
+            }
+            """
+        )
 
     def test_higher_index(self, capsys):
         code, out, _ = run(capsys, "classes", "--shape", "2,1", "--mu", "2,1", "--index", "2")
@@ -174,16 +216,49 @@ class TestVerify:
     def test_json(self, capsys):
         code, out, _ = run(capsys, "verify", "--max-n", "2", "--format", "json")
         assert code == 0
-        data = json.loads(out)
-        assert data["command"] == "verify" and data["max_n"] == 2
-        assert [r["name"] for r in data["reports"]] == [
-            "positivity-iff-dominance",
-            "dominance-monotonicity",
-            "bounded-counts",
-            "adjacent-transfer",
-            "covers-vs-hasse",
-        ]
-        assert all(r["violations"] == [] for r in data["reports"])
+        expected = dedent(
+            """\
+            {
+              "command": "verify",
+              "max_n": 2,
+              "reports": [
+                {
+                  "name": "positivity-iff-dominance",
+                  "checked": 6,
+                  "violations": [],
+                  "elapsed": N
+                },
+                {
+                  "name": "dominance-monotonicity",
+                  "checked": 24,
+                  "violations": [],
+                  "elapsed": N
+                },
+                {
+                  "name": "bounded-counts",
+                  "checked": 108825,
+                  "violations": [],
+                  "elapsed": N
+                },
+                {
+                  "name": "adjacent-transfer",
+                  "checked": 13,
+                  "violations": [],
+                  "elapsed": N
+                },
+                {
+                  "name": "covers-vs-hasse",
+                  "checked": 4,
+                  "violations": [],
+                  "elapsed": N
+                }
+              ],
+              "violations": 0
+            }
+            """
+        )
+        # elapsed is a wall time; every other byte is pinned
+        assert re.sub(r'"elapsed": [0-9.]+', '"elapsed": N', out) == expected
 
     def test_parallel_matches_serial(self, capsys):
         _, serial, _ = run(capsys, "verify", "--max-n", "2", "--format", "json")
@@ -195,7 +270,7 @@ class TestVerify:
         # a count function that claims positivity everywhere breaks the
         # positivity-iff-dominance suite at exactly the non-dominating pairs
         monkeypatch.setattr(
-            kostka.engine, "kostka_number", lambda shape, content, cache=None: 1
+            kostka.verify, "kostka_number", lambda shape, content, cache=None: 1
         )
         code, out, _ = run(capsys, "verify", "--max-n", "3")
         assert code == 1
@@ -208,31 +283,6 @@ class TestVerify:
         code, out, _ = run(capsys, "verify")
         assert code == 1
         assert out.splitlines()[-1] == "total: suites=1 checked=1 violations=1 FAIL"
-
-
-class TestBench:
-    def test_deterministic_text(self, capsys):
-        code, out, _ = run(capsys, "bench", "--seed", "0")
-        assert code == 0
-        assert re.fullmatch(
-            r"bench seed=0 cases=40 enumeration=\d+\.\d{3}s dp=\d+\.\d{3}s mismatches=0\n", out
-        )
-
-    def test_json(self, capsys):
-        code, out, _ = run(capsys, "bench", "--seed", "3", "--format", "json")
-        assert code == 0
-        data = json.loads(out)
-        assert data["command"] == "bench"
-        assert data["seed"] == 3 and data["cases"] == 40 and data["mismatches"] == 0
-        assert data["enumeration_seconds"] >= 0 and data["dp_seconds"] >= 0
-
-    def test_mismatch_exit_1(self, capsys, monkeypatch):
-        monkeypatch.setattr(
-            kostka.cli, "kostka_number", lambda shape, content, cache=None: 999
-        )
-        code, out, _ = run(capsys, "bench", "--seed", "0")
-        assert code == 1
-        assert "mismatches=40" in out
 
 
 class TestMalformedInput:
@@ -287,3 +337,24 @@ class TestHelp:
         code, out, _ = run(capsys, "-h")
         assert code == 0
         assert "compute" in out and "verify" in out
+
+
+def readme_transcripts() -> list[tuple[str, str]]:
+    """Every `$ kostka ...` command in README.md with the output printed under it."""
+    transcripts = []
+    for block in re.findall(r"```text\n(.*?)```", README.read_text(), re.S):
+        for chunk in re.split(r"^\$ kostka ", block, flags=re.M)[1:]:
+            command, _, output = chunk.partition("\n")
+            transcripts.append((command, output.rstrip("\n") + "\n"))
+    return transcripts
+
+
+class TestReadme:
+    def test_transcripts_match_byte_for_byte(self, capsys):
+        transcripts = readme_transcripts()
+        assert len(transcripts) == 7
+        mask = lambda text: re.sub(r"\d+\.\d+s\b", "N.NNs", text)
+        for command, expected in transcripts:
+            code, out, err = run(capsys, *shlex.split(command))
+            assert (code, err) == (0, ""), command
+            assert mask(out) == mask(expected), command

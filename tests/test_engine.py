@@ -1,4 +1,4 @@
-"""The counting engine: DP values, matrices, caching, and the built-in verifiers."""
+"""The counting engine: DP values, matrices, and caching."""
 
 import json
 import random
@@ -7,20 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import kostka.engine
 from kostka import (
     SizeMismatchError,
     SkewShape,
     cache_size,
-    canonical_box_skew_shapes,
     clear_cache,
     dominates,
     enumerate_ssyt,
     kostka_matrix,
     kostka_number,
     partitions_of,
-    verify_monotonicity,
-    verify_positivity,
 )
 
 
@@ -100,12 +96,6 @@ class TestCaching:
             isolated = kostka_number(lam, mu, cache={})
             assert shared == isolated
 
-    def test_cache_cap_keeps_results_exact(self, monkeypatch):
-        monkeypatch.setattr(kostka.engine, "CACHE_MAX_ENTRIES", 0)
-        local = {}
-        assert kostka_number((2, 1, 1), (1, 1, 1, 1), cache=local) == 3
-        assert local == {}
-
 
 class TestKostkaMatrix:
     def test_n4_frozen(self):
@@ -148,57 +138,3 @@ class TestKostkaMatrix:
         assert len(data["partitions"]) == 7
         values = tuple(tuple(int(v) for v in row) for row in data["matrix"])
         assert values == m.values
-
-
-class TestVerifiers:
-    def test_positivity_clean(self):
-        report = verify_positivity(5)
-        assert report.ok
-        assert report.checked == sum(len(partitions_of(m)) ** 2 for m in range(6))
-
-    def test_positivity_zero_is_trivial(self):
-        report = verify_positivity(0)
-        assert report.ok and report.checked == 1
-
-    def test_positivity_fault_injection(self):
-        fake = lambda shape, mu: 1  # claims every count is positive
-        report = verify_positivity(4, count_fn=fake)
-        assert not report.ok
-        assert {"m": 2, "lambda": "1,1", "mu": "2", "positive": True, "dominates": False} in report.violations
-
-    def test_monotonicity_clean_straight(self):
-        assert verify_monotonicity(5).ok
-
-    def test_monotonicity_clean_with_skew(self):
-        assert verify_monotonicity(4, include_skew=True).ok
-
-    def test_monotonicity_fault_injection(self):
-        fake = lambda shape, mu: 2 if mu == (shape.size,) else 1
-        report = verify_monotonicity(3, count_fn=fake)
-        assert not report.ok
-        assert any(v["mu"] == "3" and v["nu"] == "2,1" for v in report.violations)
-
-
-class TestCanonicalSkewShapes:
-    def test_small_family_exact(self):
-        # translation-canonical: no shape here is a horizontal/vertical shift
-        # of another, so ((2,), (1,)) is absent — it shifts to ((1,), ())
-        shapes = {(s.outer, s.inner) for s in canonical_box_skew_shapes(2, 2, 2)}
-        assert shapes == {
-            ((1,), ()),
-            ((2,), ()),
-            ((1, 1), ()),
-            ((2, 1), (1,)),
-        }
-
-    def test_membership_properties(self):
-        shapes = canonical_box_skew_shapes(4, 6, 6)
-        seen = set()
-        for s in shapes:
-            key = (s.outer, s.inner)
-            assert key not in seen
-            seen.add(key)
-            assert 1 <= s.size <= 6
-            assert s.n_rows <= 4 and s.outer[0] <= 6
-            assert len(s.inner) < len(s.outer)  # flush left
-            assert s.inner[0] < s.outer[0] if s.inner else True  # first row holds a cell

@@ -10,17 +10,22 @@ from kostka import (
     CoverMove,
     NotComparableError,
     SizeMismatchError,
+    SkewShape,
+    Tableau,
     adjacent_transfer_chain,
     adjacent_transfer_index,
     apply_move,
     composition,
     conjugate,
+    count_bounded_compositions,
     cover_chain,
     covers,
     display_parts,
     dominates,
+    enumerate_ssyt,
     format_parts,
     full_transfer_chain,
+    kostka_number,
     parse_parts,
     part_at,
     partition,
@@ -49,6 +54,23 @@ class TestConstructors:
         assert composition([]) == ()
         with pytest.raises(ValueError):
             composition([1, -1])
+
+    # bool is a subclass of int, but True is not a part
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: partition([True, True]),
+            lambda: composition([1, False, 1]),
+            lambda: kostka_number((True,), (True,)),
+            lambda: count_bounded_compositions((True, 2), 1),
+            lambda: enumerate_ssyt(SkewShape((1,)), (True,)),
+            lambda: Tableau(SkewShape((1,)), ((True,),)),
+        ],
+        ids=["partition", "composition", "kostka_number", "bounded_caps", "ssyt_content", "tableau_entry"],
+    )
+    def test_bool_parts_rejected(self, build):
+        with pytest.raises(ValueError):
+            build()
 
     def test_part_at_is_one_based_and_zero_padded(self):
         assert part_at((3, 1), 1) == 3

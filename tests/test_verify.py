@@ -2,18 +2,22 @@
 
 import math
 
-from kostka import Report, SkewShape, iter_semistandard, partitions_of, verify_positivity
+import kostka.verify
+from kostka import Report, SkewShape, count_bounded_compositions, iter_semistandard, partitions_of
 from kostka.verify import (
     STANDARD_SUITES,
     bounded_content_family,
     brute_force_covers,
+    canonical_box_skew_shapes,
     content_census,
     run_standard_suites,
     verify_adjacent_transfer,
     verify_bounded_counts,
     verify_covers,
+    verify_monotonicity,
     verify_oracle_equivalence,
     verify_permutation_invariance,
+    verify_positivity,
     verify_transfer_chains,
 )
 
@@ -67,6 +71,21 @@ class TestSuitesClean:
 
     def test_permutation_invariance(self):
         assert verify_permutation_invariance(5).ok
+
+
+class TestFaultInjection:
+    def test_bounded_counts_dp_fault_is_caught_with_kinds(self, monkeypatch):
+        # off by one on the total 2 only: the suite must fail, and every record,
+        # the DP-vs-brute-force mismatches included, must say which check broke
+        monkeypatch.setattr(
+            kostka.verify,
+            "count_bounded_compositions",
+            lambda caps, total: count_bounded_compositions(caps, total) + (total == 2),
+        )
+        report = verify_bounded_counts(2, 2)
+        assert not report.ok
+        assert all("kind" in v for v in report.violations)
+        assert {"caps": (1, 1), "total": 2, "kind": "dp", "dp": 2, "brute": 1} in report.violations
 
 
 class TestBoundedContentFamily:
@@ -145,3 +164,57 @@ class TestStandardSuites:
         assert [(r.name, r.checked, r.violations) for r in serial] == [
             (r.name, r.checked, r.violations) for r in parallel
         ]
+
+
+class TestVerifiers:
+    def test_positivity_clean(self):
+        report = verify_positivity(5)
+        assert report.ok
+        assert report.checked == sum(len(partitions_of(m)) ** 2 for m in range(6))
+
+    def test_positivity_zero_is_trivial(self):
+        report = verify_positivity(0)
+        assert report.ok and report.checked == 1
+
+    def test_positivity_fault_injection(self):
+        fake = lambda shape, mu: 1  # claims every count is positive
+        report = verify_positivity(4, count_fn=fake)
+        assert not report.ok
+        assert {"m": 2, "lambda": "1,1", "mu": "2", "positive": True, "dominates": False} in report.violations
+
+    def test_monotonicity_clean_straight(self):
+        assert verify_monotonicity(5).ok
+
+    def test_monotonicity_clean_with_skew(self):
+        assert verify_monotonicity(4, include_skew=True).ok
+
+    def test_monotonicity_fault_injection(self):
+        fake = lambda shape, mu: 2 if mu == (shape.size,) else 1
+        report = verify_monotonicity(3, count_fn=fake)
+        assert not report.ok
+        assert any(v["mu"] == "3" and v["nu"] == "2,1" for v in report.violations)
+
+
+class TestCanonicalSkewShapes:
+    def test_small_family_exact(self):
+        # translation-canonical: no shape here is a horizontal/vertical shift
+        # of another, so ((2,), (1,)) is absent — it shifts to ((1,), ())
+        shapes = {(s.outer, s.inner) for s in canonical_box_skew_shapes(2, 2, 2)}
+        assert shapes == {
+            ((1,), ()),
+            ((2,), ()),
+            ((1, 1), ()),
+            ((2, 1), (1,)),
+        }
+
+    def test_membership_properties(self):
+        shapes = canonical_box_skew_shapes(4, 6, 6)
+        seen = set()
+        for s in shapes:
+            key = (s.outer, s.inner)
+            assert key not in seen
+            seen.add(key)
+            assert 1 <= s.size <= 6
+            assert s.n_rows <= 4 and s.outer[0] <= 6
+            assert len(s.inner) < len(s.outer)  # flush left
+            assert s.inner[0] < s.outer[0] if s.inner else True  # first row holds a cell
