@@ -33,6 +33,7 @@ from .transfer_classes import count_in_class, signature_census, transfer_target
 from .verify import run_standard_suites
 
 Output = tuple[dict, list[str]]
+MAX_MATRIX_N = 24  # kostka_matrix time and memory about triple per +2 in n; n=22 took 89 s, 885 MB on 2 CPUs
 
 
 class CliError(Exception):
@@ -88,6 +89,8 @@ def _matrix_text(labels: list[str], values: Sequence[Sequence[int]]) -> list[str
 def _matrix(args: argparse.Namespace) -> Output:
     if args.n < 0:
         raise CliError("--n", "a non-negative integer is required")
+    if args.n > MAX_MATRIX_N:
+        raise CliError("--n", f"at most {MAX_MATRIX_N} is supported, got {args.n}")
     matrix = kostka_matrix(args.n)
     if args.fmt == "csv":
         return matrix.to_json_dict(), matrix.to_csv().splitlines()

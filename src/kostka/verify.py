@@ -3,15 +3,22 @@
 Every suite checks a claim along two independent routes: the fast path under test
 against a brute-force oracle (full poset scans, raw product-space enumeration,
 backtracking tableau censuses). The oracles never call the code they check.
+
+Each verify_* body is a generator yielding one list per check: that check's
+violation records, [] when it passes. The _suite runner times it and counts one
+check per yield into its Report. Bodies reach the code under test through this
+module's globals, which tests and tracers rebind.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from collections import Counter, defaultdict
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass, field
 from itertools import permutations, product
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 from .counting import count_bounded_compositions, split_by_first_part
 from .engine import kostka_number
@@ -27,37 +34,81 @@ from .partitions import (
     part_at,
     partitions_of,
 )
-from .reports import Report
 from .tableaux import SkewShape, Tableau, content_of, iter_semistandard
 from .transfer_classes import signature_census, transfer_target
 
-CountFn = Callable[[SkewShape, Sequence[int]], int]
+_MAX_SHOWN = 50
+Checks = Iterator[list[dict]]
 
 
-def verify_positivity(max_n: int, count_fn: CountFn | None = None) -> Report:
+@dataclass
+class Report:
+    """Outcome of one exhaustive check: what ran, how much, and every violation found."""
+
+    name: str
+    checked: int = 0
+    violations: list[dict] = field(default_factory=list)
+    elapsed: float = 0.0
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
+
+    def to_text(self) -> str:
+        status = "pass" if self.ok else "FAIL"
+        lines = [f"{self.name}: checked={self.checked} violations={len(self.violations)} {status} ({self.elapsed:.2f}s)"]
+        for v in self.violations[:_MAX_SHOWN]:
+            lines.append("  " + ", ".join(f"{key}={v[key]}" for key in sorted(v)))
+        if len(self.violations) > _MAX_SHOWN:
+            lines.append(f"  ... and {len(self.violations) - _MAX_SHOWN} more")
+        return "\n".join(lines)
+
+    def to_json_dict(self) -> dict:
+        return {
+            "name": self.name,
+            "checked": self.checked,
+            "violations": self.violations,
+            "elapsed": round(self.elapsed, 3),
+        }
+
+
+def _suite(name: str) -> Callable[[Callable[..., Checks]], Callable[..., Report]]:
+    """Turn a generator of checks into a verifier that returns the named Report."""
+
+    def decorate(checks: Callable[..., Checks]) -> Callable[..., Report]:
+        @functools.wraps(checks)
+        def run(*args, **kwargs) -> Report:
+            started = time.perf_counter()
+            report = Report(name=name)
+            for violations in checks(*args, **kwargs):
+                report.checked += 1
+                report.violations.extend(violations)
+            report.elapsed = time.perf_counter() - started
+            return report
+
+        return run
+
+    return decorate
+
+
+@_suite("positivity-iff-dominance")
+def verify_positivity(max_n: int) -> Checks:
     """Check K(lam, mu) > 0 exactly when lam dominates mu, all pairs of each m <= max_n."""
-    fn = count_fn or kostka_number
-    started = time.perf_counter()
-    report = Report(name="positivity-iff-dominance")
     for m in range(max_n + 1):
         parts = partitions_of(m)
         for lam in parts:
             shape = SkewShape(lam)
             for mu in parts:
-                report.checked += 1
-                positive = fn(shape, mu) > 0
-                if positive != dominates(lam, mu):
-                    report.violations.append(
-                        {
-                            "m": m,
-                            "lambda": format_parts(lam),
-                            "mu": format_parts(mu),
-                            "positive": positive,
-                            "dominates": dominates(lam, mu),
-                        }
-                    )
-    report.elapsed = time.perf_counter() - started
-    return report
+                positive = kostka_number(shape, mu) > 0
+                yield [] if positive == dominates(lam, mu) else [
+                    {
+                        "m": m,
+                        "lambda": format_parts(lam),
+                        "mu": format_parts(mu),
+                        "positive": positive,
+                        "dominates": dominates(lam, mu),
+                    }
+                ]
 
 
 def canonical_box_skew_shapes(max_rows: int, max_cols: int, max_cells: int) -> list[SkewShape]:
@@ -90,7 +141,8 @@ def canonical_box_skew_shapes(max_rows: int, max_cols: int, max_cells: int) -> l
     return shapes
 
 
-def verify_monotonicity(max_n: int, include_skew: bool = False, count_fn: CountFn | None = None) -> Report:
+@_suite("dominance-monotonicity")
+def verify_monotonicity(max_n: int, include_skew: bool = False) -> Checks:
     """Check K(shape, mu) <= K(shape, nu) whenever mu dominates nu.
 
     Straight shapes run over all partitions of each m <= max_n. With include_skew,
@@ -98,39 +150,31 @@ def verify_monotonicity(max_n: int, include_skew: bool = False, count_fn: CountF
     max_n-column box run as well, each on an isolated cache to keep the shared one
     lean.
     """
-    started = time.perf_counter()
-    report = Report(name="dominance-monotonicity")
 
-    def check(shape: SkewShape, label: str, fn: CountFn) -> None:
+    def check(shape: SkewShape, label: str, cache: dict | None = None) -> Checks:
         parts = partitions_of(shape.size)
-        counts = {mu: fn(shape, mu) for mu in parts}
+        counts = {mu: kostka_number(shape, mu, cache=cache) for mu in parts}
         for mu in parts:
             for nu in parts:
                 if not dominates(mu, nu):
                     continue
-                report.checked += 1
-                if counts[mu] > counts[nu]:
-                    report.violations.append(
-                        {
-                            "shape": label,
-                            "mu": format_parts(mu),
-                            "nu": format_parts(nu),
-                            "count_mu": counts[mu],
-                            "count_nu": counts[nu],
-                        }
-                    )
+                yield [] if counts[mu] <= counts[nu] else [
+                    {
+                        "shape": label,
+                        "mu": format_parts(mu),
+                        "nu": format_parts(nu),
+                        "count_mu": counts[mu],
+                        "count_nu": counts[nu],
+                    }
+                ]
 
     for m in range(max_n + 1):
         for lam in partitions_of(m):
-            check(SkewShape(lam), format_parts(lam), count_fn or kostka_number)
+            yield from check(SkewShape(lam), format_parts(lam))
     if include_skew:
         for shape in canonical_box_skew_shapes(4, max_n, max_n):
-            local: dict[tuple, int] = {}
-            fn = count_fn or (lambda sh, mu: kostka_number(sh, mu, cache=local))
             label = f"{format_parts(shape.outer)}/{format_parts(shape.inner)}"
-            check(shape, label, fn)
-    report.elapsed = time.perf_counter() - started
-    return report
+            yield from check(shape, label, cache={})
 
 
 def brute_force_covers(n: int) -> dict[Parts, set[Parts]]:
@@ -151,25 +195,20 @@ def brute_force_covers(n: int) -> dict[Parts, set[Parts]]:
     return out
 
 
-def verify_covers(max_n: int) -> Report:
+@_suite("covers-vs-hasse")
+def verify_covers(max_n: int) -> Checks:
     """Compare the constructive cover rules against the brute-force Hasse diagram."""
-    started = time.perf_counter()
-    report = Report(name="covers-vs-hasse")
     for n in range(max_n + 1):
         expected = brute_force_covers(n)
         for mu in partitions_of(n):
-            report.checked += 1
             got = {target for _, target in covers(mu)}
-            if got != expected[mu]:
-                report.violations.append(
-                    {
-                        "mu": format_parts(mu),
-                        "constructed": sorted(map(format_parts, got)),
-                        "hasse": sorted(map(format_parts, expected[mu])),
-                    }
-                )
-    report.elapsed = time.perf_counter() - started
-    return report
+            yield [] if got == expected[mu] else [
+                {
+                    "mu": format_parts(mu),
+                    "constructed": sorted(map(format_parts, got)),
+                    "hasse": sorted(map(format_parts, expected[mu])),
+                }
+            ]
 
 
 def _brute_bounded_counts(caps: tuple[int, ...]) -> Counter:
@@ -177,15 +216,14 @@ def _brute_bounded_counts(caps: tuple[int, ...]) -> Counter:
     return Counter(sum(vec) for vec in product(*(range(c + 1) for c in caps)))
 
 
-def verify_bounded_counts(max_len: int = 4, max_entry: int = 4) -> Report:
+@_suite("bounded-counts")
+def verify_bounded_counts(max_len: int = 4, max_entry: int = 4) -> Checks:
     """Bounded-count DP vs brute force, plus symmetry, peak monotonicity, and the split.
 
     Runs every cap vector with up to max_len coordinates, each at most max_entry,
     and every total in [-1, m+1] where m is the cap sum. Monotonicity is the
     farther-from-m/2 comparison, checked for every ordered pair of totals.
     """
-    started = time.perf_counter()
-    report = Report(name="bounded-counts")
     for r in range(max_len + 1):
         for caps in product(range(max_entry + 1), repeat=r):
             m = sum(caps)
@@ -193,32 +231,27 @@ def verify_bounded_counts(max_len: int = 4, max_entry: int = 4) -> Report:
             counts = {a: count_bounded_compositions(caps, a) for a in totals}
             brute = _brute_bounded_counts(caps)
             for a in totals:
-                report.checked += 1
+                found = []
                 if counts[a] != brute.get(a, 0):
-                    report.violations.append(
+                    found.append(
                         {"caps": caps, "total": a, "kind": "dp", "dp": counts[a], "brute": brute.get(a, 0)}
                     )
                 if counts[a] != counts[m - a]:
-                    report.violations.append({"caps": caps, "total": a, "kind": "symmetry"})
+                    found.append({"caps": caps, "total": a, "kind": "symmetry"})
+                yield found
             for a in totals:
                 for b in totals:
-                    report.checked += 1
-                    if abs(2 * a - m) >= abs(2 * b - m) and counts[a] > counts[b]:
-                        report.violations.append({"caps": caps, "a": a, "b": b, "kind": "monotonicity"})
+                    holds = abs(2 * a - m) < abs(2 * b - m) or counts[a] <= counts[b]
+                    yield [] if holds else [{"caps": caps, "a": a, "b": b, "kind": "monotonicity"}]
             if caps and caps[0] >= 1:
                 for a in totals:
-                    report.checked += 1
                     saturated, below = split_by_first_part(caps, a)
-                    if saturated + below != counts[a]:
-                        report.violations.append({"caps": caps, "total": a, "kind": "split"})
-            report.checked += 1
+                    yield [] if saturated + below == counts[a] else [{"caps": caps, "total": a, "kind": "split"}]
             normalization = 1
             for c in caps:
                 normalization *= c + 1
-            if sum(counts[a] for a in range(m + 1)) != normalization:
-                report.violations.append({"caps": caps, "kind": "normalization"})
-    report.elapsed = time.perf_counter() - started
-    return report
+            total = sum(counts[a] for a in range(m + 1))
+            yield [] if total == normalization else [{"caps": caps, "kind": "normalization"}]
 
 
 def content_census(shape: SkewShape, max_entry: int) -> dict[Parts, list[Tableau]]:
@@ -262,7 +295,8 @@ def _transfer_shapes(max_cells: int, include_skew: bool) -> Iterator[SkewShape]:
         yield from canonical_box_skew_shapes(4, max_cells, max_cells)
 
 
-def verify_adjacent_transfer(max_cells: int, include_skew: bool = False) -> Report:
+@_suite("adjacent-transfer")
+def verify_adjacent_transfer(max_cells: int, include_skew: bool = False) -> Checks:
     """Adjacent content transfers never shrink the tableau count, class by class.
 
     For every straight shape with up to max_cells cells (plus, when include_skew,
@@ -272,8 +306,6 @@ def verify_adjacent_transfer(max_cells: int, include_skew: bool = False) -> Repo
     enumeration census, not the DP. Contents absent from the census have count
     zero and satisfy both claims trivially, so only census contents are walked.
     """
-    started = time.perf_counter()
-    report = Report(name="adjacent-transfer")
     for shape in _transfer_shapes(max_cells, include_skew):
         m = shape.size
         label = f"{format_parts(shape.outer)}/{format_parts(shape.inner)}" if shape.inner else format_parts(shape.outer)
@@ -287,9 +319,9 @@ def verify_adjacent_transfer(max_cells: int, include_skew: bool = False) -> Repo
                     continue
                 nu = transfer_target(mu, i)
                 nu_tabs = census.get(nu, [])
-                report.checked += 1
+                found = []
                 if len(mu_tabs) > len(nu_tabs):
-                    report.violations.append(
+                    found.append(
                         {
                             "shape": label,
                             "mu": format_parts(mu),
@@ -302,7 +334,7 @@ def verify_adjacent_transfer(max_cells: int, include_skew: bool = False) -> Repo
                 nu_classes = signature_census(shape, nu_tabs, i)
                 for sig, count in sorted(mu_classes.items(), key=lambda kv: kv[0].skeleton):
                     if count > nu_classes.get(sig, 0):
-                        report.violations.append(
+                        found.append(
                             {
                                 "shape": label,
                                 "mu": format_parts(mu),
@@ -313,11 +345,11 @@ def verify_adjacent_transfer(max_cells: int, include_skew: bool = False) -> Repo
                                 "count_nu": nu_classes.get(sig, 0),
                             }
                         )
-    report.elapsed = time.perf_counter() - started
-    return report
+                yield found
 
 
-def verify_transfer_chains(max_n: int) -> Report:
+@_suite("transfer-chains")
+def verify_transfer_chains(max_n: int) -> Checks:
     """Column cover moves decompose into adjacent transfers with monotone counts.
 
     For every column cover with n <= max_n: the expected number of intermediates
@@ -325,28 +357,26 @@ def verify_transfer_chains(max_n: int) -> Report:
     part exceeding the target, and for every straight shape of n the counts along
     the chain weakly increase.
     """
-    started = time.perf_counter()
-    report = Report(name="transfer-chains")
     for n in range(max_n + 1):
         lams = partitions_of(n)
         for mu in lams:
             for move, _ in covers(mu):
                 if move.kind != COLUMN:
                     continue
-                report.checked += 1
+                found = []
                 middle = adjacent_transfer_chain(mu, move)
                 if len(middle) != move.j - move.i - 1:
-                    report.violations.append({"mu": format_parts(mu), "move": move.describe(), "kind": "length"})
+                    found.append({"mu": format_parts(mu), "move": move.describe(), "kind": "length"})
                 chain = full_transfer_chain(mu, move)
                 for t in range(len(chain) - 1):
                     if adjacent_transfer_index(chain[t], chain[t + 1]) is None:
-                        report.violations.append(
+                        found.append(
                             {"mu": format_parts(mu), "move": move.describe(), "step": t, "kind": "precondition"}
                         )
                 for lam in lams:
                     values = [kostka_number(lam, step) for step in chain]
                     if any(values[t] > values[t + 1] for t in range(len(values) - 1)):
-                        report.violations.append(
+                        found.append(
                             {
                                 "mu": format_parts(mu),
                                 "move": move.describe(),
@@ -354,18 +384,16 @@ def verify_transfer_chains(max_n: int) -> Report:
                                 "counts": values,
                             }
                         )
-    report.elapsed = time.perf_counter() - started
-    return report
+                yield found
 
 
-def verify_oracle_equivalence(max_cells: int) -> Report:
+@_suite("dp-vs-enumeration")
+def verify_oracle_equivalence(max_cells: int) -> Checks:
     """DP counts equal enumeration counts for every straight shape and bounded content.
 
     The census enumerates every filling with entries up to m+1 once per shape, so
     contents the DP must report as zero are checked too.
     """
-    started = time.perf_counter()
-    report = Report(name="dp-vs-enumeration")
     for m in range(max_cells + 1):
         family = bounded_content_family(m)
         for lam in partitions_of(m):
@@ -373,50 +401,41 @@ def verify_oracle_equivalence(max_cells: int) -> Report:
             census = {c: len(ts) for c, ts in content_census(shape, m + 1).items()}
             local: dict[tuple, int] = {}
             for content in family:
-                report.checked += 1
                 dp = kostka_number(shape, content, cache=local)
                 expected = census.get(content, 0)
-                if dp != expected:
-                    report.violations.append(
-                        {
-                            "shape": format_parts(lam),
-                            "content": format_parts(content),
-                            "dp": dp,
-                            "enumerated": expected,
-                        }
-                    )
-    report.elapsed = time.perf_counter() - started
-    return report
+                yield [] if dp == expected else [
+                    {
+                        "shape": format_parts(lam),
+                        "content": format_parts(content),
+                        "dp": dp,
+                        "enumerated": expected,
+                    }
+                ]
 
 
-def verify_permutation_invariance(max_cells: int) -> Report:
+@_suite("content-permutation-invariance")
+def verify_permutation_invariance(max_cells: int) -> Checks:
     """Permuting the content parts never changes the DP count.
 
     Each partition content of each straight shape runs against every distinct
     rearrangement, including ones with a zero part inserted, so interior zeros get
     exercised.
     """
-    started = time.perf_counter()
-    report = Report(name="content-permutation-invariance")
     for m in range(max_cells + 1):
         for lam in partitions_of(m):
             shape = SkewShape(lam)
             for mu in partitions_of(m):
                 base = kostka_number(shape, mu)
                 for perm in sorted(set(permutations(mu + (0,)))):
-                    report.checked += 1
-                    if kostka_number(shape, perm) != base:
-                        report.violations.append(
-                            {
-                                "shape": format_parts(lam),
-                                "mu": format_parts(mu),
-                                "perm": format_parts(perm),
-                                "base": base,
-                                "got": kostka_number(shape, perm),
-                            }
-                        )
-    report.elapsed = time.perf_counter() - started
-    return report
+                    yield [] if kostka_number(shape, perm) == base else [
+                        {
+                            "shape": format_parts(lam),
+                            "mu": format_parts(mu),
+                            "perm": format_parts(perm),
+                            "base": base,
+                            "got": kostka_number(shape, perm),
+                        }
+                    ]
 
 
 def _suite_positivity(max_n: int) -> Report:

@@ -316,6 +316,11 @@ class TestMalformedInput:
         assert code == 2
         assert err == "error: --index: a positive integer is required\n"
 
+    def test_matrix_too_large_is_refused_before_computing(self, capsys):
+        code, out, err = run(capsys, "matrix", "--n", "40")
+        assert (code, out) == (2, "")
+        assert err == "error: --n: at most 24 is supported, got 40\n"
+
     def test_missing_required_flag(self, capsys):
         code, _, err = run(capsys, "compute", "--shape", "2,1")
         assert code == 2

@@ -3,7 +3,15 @@
 import math
 
 import kostka.verify
-from kostka import Report, SkewShape, count_bounded_compositions, iter_semistandard, partitions_of
+from kostka import (
+    Report,
+    SkewShape,
+    count_bounded_compositions,
+    covers,
+    iter_semistandard,
+    kostka_number,
+    partitions_of,
+)
 from kostka.verify import (
     STANDARD_SUITES,
     bounded_content_family,
@@ -53,13 +61,19 @@ class TestSuitesClean:
         assert report.checked == sum(len(partitions_of(n)) for n in range(7))
 
     def test_bounded_counts(self):
-        assert verify_bounded_counts(3, 3).ok
+        report = verify_bounded_counts(3, 3)
+        assert report.ok
+        assert report.checked == 5710
 
     def test_adjacent_transfer(self):
-        assert verify_adjacent_transfer(4).ok
+        report = verify_adjacent_transfer(4)
+        assert report.ok
+        assert report.checked == 506
 
     def test_adjacent_transfer_with_skew(self):
-        assert verify_adjacent_transfer(4, include_skew=True).ok
+        report = verify_adjacent_transfer(4, include_skew=True)
+        assert report.ok
+        assert report.checked == 11090
 
     def test_transfer_chains(self):
         report = verify_transfer_chains(5)
@@ -67,10 +81,14 @@ class TestSuitesClean:
         assert report.checked == 4  # column covers with n <= 5: one at n=3,4 and two at n=5
 
     def test_oracle_equivalence(self):
-        assert verify_oracle_equivalence(5).ok
+        report = verify_oracle_equivalence(5)
+        assert report.ok
+        assert report.checked == 2189
 
     def test_permutation_invariance(self):
-        assert verify_permutation_invariance(5).ok
+        report = verify_permutation_invariance(5)
+        assert report.ok
+        assert report.checked == 637
 
 
 class TestFaultInjection:
@@ -86,6 +104,70 @@ class TestFaultInjection:
         assert not report.ok
         assert all("kind" in v for v in report.violations)
         assert {"caps": (1, 1), "total": 2, "kind": "dp", "dp": 2, "brute": 1} in report.violations
+        # one check may report several records; all are kept, in check order
+        assert [v for v in report.violations if v["caps"] == (1, 1)] == [
+            {"caps": (1, 1), "total": 0, "kind": "symmetry"},
+            {"caps": (1, 1), "total": 2, "kind": "dp", "dp": 2, "brute": 1},
+            {"caps": (1, 1), "total": 2, "kind": "symmetry"},
+            {"caps": (1, 1), "a": 2, "b": 0, "kind": "monotonicity"},
+            {"caps": (1, 1), "total": 2, "kind": "split"},
+            {"caps": (1, 1), "kind": "normalization"},
+        ]
+
+    def test_adjacent_transfer_census_fault_is_caught_per_class(self, monkeypatch):
+        # the census loses the only filling of (2,) with content (1,1), so the
+        # transfer (2,) -> (1,1) appears to shrink the count, in total and per class
+        real = kostka.verify.content_census
+
+        def census(shape, max_entry):
+            found = real(shape, max_entry)
+            if shape == SkewShape((2,)):
+                del found[(1, 1)]
+            return found
+
+        monkeypatch.setattr(kostka.verify, "content_census", census)
+        report = verify_adjacent_transfer(2)
+        assert not report.ok
+        assert report.violations == [
+            {"shape": "2", "mu": "2", "index": 1, "count_mu": 1, "count_nu": 0},
+            {"shape": "2", "mu": "2", "index": 1, "kind": "class", "skeleton": (), "count_mu": 1, "count_nu": 0},
+        ]
+
+    def test_covers_fault_is_caught(self, monkeypatch):
+        monkeypatch.setattr(kostka.verify, "covers", lambda mu: [] if mu == (3, 1) else covers(mu))
+        report = verify_covers(4)
+        assert not report.ok
+        assert report.violations == [{"mu": "3,1", "constructed": [], "hasse": ["2,2"]}]
+
+    def test_transfer_chains_count_fault_is_caught(self, monkeypatch):
+        # inflate the middle step of the one column-cover chain at n=3: (2,1,0) -> (1,2,0) -> (1,1,1)
+        def count(shape, content, cache=None):
+            return 5 if tuple(content) == (1, 2, 0) else kostka_number(shape, content, cache)
+
+        monkeypatch.setattr(kostka.verify, "kostka_number", count)
+        report = verify_transfer_chains(3)
+        assert not report.ok
+        assert {"mu": "2,1", "move": "column-move i=1, j=3", "lambda": "2,1", "counts": [1, 5, 2]} in report.violations
+
+    def test_oracle_equivalence_dp_fault_is_caught(self, monkeypatch):
+        monkeypatch.setattr(
+            kostka.verify,
+            "kostka_number",
+            lambda shape, content, cache=None: kostka_number(shape, content, cache) + (tuple(content) == (2,)),
+        )
+        report = verify_oracle_equivalence(2)
+        assert not report.ok
+        assert {"shape": "2", "content": "2", "dp": 2, "enumerated": 1} in report.violations
+
+    def test_permutation_invariance_fault_is_caught(self, monkeypatch):
+        monkeypatch.setattr(
+            kostka.verify,
+            "kostka_number",
+            lambda shape, content, cache=None: kostka_number(shape, content, cache) + (tuple(content) == (0, 2)),
+        )
+        report = verify_permutation_invariance(2)
+        assert not report.ok
+        assert {"shape": "2", "mu": "2", "perm": "0,2", "base": 1, "got": 2} in report.violations
 
 
 class TestBoundedContentFamily:
@@ -176,21 +258,28 @@ class TestVerifiers:
         report = verify_positivity(0)
         assert report.ok and report.checked == 1
 
-    def test_positivity_fault_injection(self):
-        fake = lambda shape, mu: 1  # claims every count is positive
-        report = verify_positivity(4, count_fn=fake)
+    def test_positivity_fault_injection(self, monkeypatch):
+        # claims every count is positive
+        monkeypatch.setattr(kostka.verify, "kostka_number", lambda shape, mu, cache=None: 1)
+        report = verify_positivity(4)
         assert not report.ok
         assert {"m": 2, "lambda": "1,1", "mu": "2", "positive": True, "dominates": False} in report.violations
 
     def test_monotonicity_clean_straight(self):
-        assert verify_monotonicity(5).ok
+        report = verify_monotonicity(5)
+        assert report.ok
+        assert report.checked == 297
 
     def test_monotonicity_clean_with_skew(self):
-        assert verify_monotonicity(4, include_skew=True).ok
+        report = verify_monotonicity(4, include_skew=True)
+        assert report.ok
+        assert report.checked == 1611
 
-    def test_monotonicity_fault_injection(self):
-        fake = lambda shape, mu: 2 if mu == (shape.size,) else 1
-        report = verify_monotonicity(3, count_fn=fake)
+    def test_monotonicity_fault_injection(self, monkeypatch):
+        monkeypatch.setattr(
+            kostka.verify, "kostka_number", lambda shape, mu, cache=None: 2 if mu == (shape.size,) else 1
+        )
+        report = verify_monotonicity(3)
         assert not report.ok
         assert any(v["mu"] == "3" and v["nu"] == "2,1" for v in report.violations)
 
