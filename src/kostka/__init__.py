@@ -8,13 +8,7 @@ exhaustively at desk scale. The `kostka` console script exposes all of it.
 """
 
 from .counting import count_bounded_compositions, split_by_first_part
-from .engine import (
-    KostkaMatrix,
-    cache_size,
-    clear_cache,
-    kostka_matrix,
-    kostka_number,
-)
+from .engine import KostkaMatrix, kostka_matrix, kostka_number
 from .partitions import (
     COLUMN,
     ROW,
@@ -73,62 +67,3 @@ from .verify import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "COLUMN",
-    "Cell",
-    "ClassSignature",
-    "CoverMove",
-    "KostkaMatrix",
-    "NotComparableError",
-    "Parts",
-    "ROW",
-    "Report",
-    "SizeMismatchError",
-    "SkewShape",
-    "Tableau",
-    "adjacent_transfer_chain",
-    "adjacent_transfer_counts",
-    "adjacent_transfer_index",
-    "apply_move",
-    "bounded_content_family",
-    "brute_force_covers",
-    "cache_size",
-    "canonical_box_skew_shapes",
-    "clear_cache",
-    "composition",
-    "conjugate",
-    "content_census",
-    "content_of",
-    "count_bounded_compositions",
-    "count_in_class",
-    "cover_chain",
-    "covers",
-    "display_parts",
-    "dominates",
-    "enumerate_ssyt",
-    "format_parts",
-    "full_transfer_chain",
-    "is_semistandard",
-    "iter_semistandard",
-    "kostka_matrix",
-    "kostka_number",
-    "parse_parts",
-    "part_at",
-    "partition",
-    "partitions_of",
-    "run_standard_suites",
-    "signature_census",
-    "signature_of",
-    "split_by_first_part",
-    "transfer_target",
-    "verify_adjacent_transfer",
-    "verify_bounded_counts",
-    "verify_covers",
-    "verify_monotonicity",
-    "verify_oracle_equivalence",
-    "verify_permutation_invariance",
-    "verify_positivity",
-    "verify_transfer_chains",
-    "__version__",
-]

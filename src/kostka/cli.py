@@ -33,7 +33,7 @@ from .transfer_classes import count_in_class, signature_census, transfer_target
 from .verify import run_standard_suites
 
 Output = tuple[dict, list[str]]
-MAX_MATRIX_N = 24  # kostka_matrix time and memory about triple per +2 in n; n=22 took 89 s, 885 MB on 2 CPUs
+MAX_MATRIX_N = 24  # kostka_matrix time grows about 3.5x per +2 in n; n=20 took 18 s, 202 MB peak RSS on 2 CPUs
 
 
 class CliError(Exception):

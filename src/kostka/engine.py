@@ -1,15 +1,16 @@
-"""Fast Kostka numbers by memoized horizontal-strip peeling, plus whole matrices.
+"""Fast Kostka numbers by a forward horizontal-strip walk, plus whole matrices.
 
-The count K(shape, content) is computed by peeling the largest-indexed nonzero
-content entry: in any semistandard filling its cells form a horizontal strip along
-the outer rim, so the count is the sum over removable strips of that size of the
-count for the reduced shape and the content prefix. The recursion is purely
-combinatorial on purpose; it must not shortcut through the dominance
-characterization it is later used to verify.
-
-The shared module cache is a plain dict; under CPython its per-key reads and
-writes are atomic, which is all the recursion needs, and results never depend on
-what the cache already holds. Pass a fresh dict to isolate a call.
+In a semistandard filling the cells holding any one entry form a horizontal
+strip, so the fillings of outer/inner with a given content are the chains
+inner = s_0 <= s_1 <= ... <= s_k = outer in which s_i / s_(i-1) is a horizontal
+strip of content_i cells (the Pieri rule). The walk keeps a frontier mapping
+each shape to the number of chains that reach it, adds the content's parts in
+the order given, and reads the count off at outer. It is iterative, so long
+contents cannot exhaust the stack, and purely combinatorial on purpose: it must
+not shortcut through the dominance characterization it is later used to
+verify, and it never reorders the content, whose symmetry the
+permutation-invariance suite checks. Nothing is kept between calls unless the
+caller passes a strip memo.
 """
 
 from __future__ import annotations
@@ -30,15 +31,8 @@ from .partitions import (
 )
 from .tableaux import SkewShape
 
-_CACHE: dict[tuple, int] = {}
-
-
-def clear_cache() -> None:
-    _CACHE.clear()
-
-
-def cache_size() -> int:
-    return len(_CACHE)
+# a strip memo: (shape, strip size, outer) -> the shapes that strip can reach
+Strips = MutableMapping[tuple, list]
 
 
 def _as_shape(shape: SkewShape | Sequence[int]) -> SkewShape:
@@ -47,71 +41,98 @@ def _as_shape(shape: SkewShape | Sequence[int]) -> SkewShape:
     return SkewShape(partition(shape))
 
 
-def _strip_zeros(parts: tuple[int, ...]) -> tuple[int, ...]:
-    k = len(parts)
-    while k and parts[k - 1] == 0:
-        k -= 1
-    return parts[:k]
+def _strips(shape: Parts, size: int, outer: Parts) -> list[Parts]:
+    """Every shape within outer that adds a horizontal strip of size cells to shape.
+
+    shape has as many rows as outer. A strip holds at most one cell per column,
+    so row r may grow up to the old length of row r-1. The rows with room are
+    filled one after another, breadth first; each takes at least what the rows
+    below it cannot hold, so every partial strip completes and the last row
+    with room takes whatever is left.
+    """
+    rooms = []
+    tail = 0
+    above = outer[0]
+    for r, row in enumerate(shape):
+        cap = outer[r] if outer[r] < above else above
+        if cap > row:
+            rooms.append((r, cap - row))
+            tail += cap - row
+        above = row
+    if size > tail:
+        return []
+    grown = [(shape, size)]
+    last = rooms.pop()[0]
+    for r, room in rooms:
+        tail -= room
+        partial = []
+        for nu, left in grown:
+            high = room if room < left else left
+            if left > tail:
+                low = left - tail
+            else:
+                partial.append((nu, left))
+                low = 1
+            row = nu[r]
+            head, foot = nu[:r], nu[r + 1:]
+            for d in range(low, high + 1):
+                partial.append((head + (row + d,) + foot, left - d))
+        grown = partial
+    return [nu[:last] + (nu[last] + left,) + nu[last + 1:] if left else nu for nu, left in grown]
 
 
-def _kostka(outer: Parts, inner: Parts, content: Parts, memo: MutableMapping[tuple, int]) -> int:
-    content = _strip_zeros(content)
-    if not content:
-        return 1 if sum(outer) == sum(inner) else 0
-    key = (outer, inner, content)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    budget = content[-1]
-    rest = content[:-1]
-    n_rows = len(outer)
-    inner_padded = inner + (0,) * (n_rows - len(inner))
-    # row r may shrink to max(inner_r, outer_{r+1}) without breaking the diagram
-    # or stacking two strip cells in one column
-    floors = [max(inner_padded[r], outer[r + 1] if r + 1 < n_rows else 0) for r in range(n_rows)]
-    slack = [outer[r] - floors[r] for r in range(n_rows)]
-    suffix = [0] * (n_rows + 1)
-    for r in range(n_rows - 1, -1, -1):
-        suffix[r] = suffix[r + 1] + slack[r]
-
-    total = 0
-    reduced = list(outer)
-
-    def peel(r: int, left: int) -> None:
-        nonlocal total
-        if left == 0:
-            total += _kostka(_strip_zeros(tuple(reduced)), inner, rest, memo)
-            return
-        if r == n_rows or left > suffix[r]:
-            return
-        keep = reduced[r]
-        for d in range(min(slack[r], left), -1, -1):
-            reduced[r] = keep - d
-            peel(r + 1, left - d)
-        reduced[r] = keep
-
-    peel(0, budget)
-    memo[key] = total
-    return total
+def _kostka(outer: Parts, inner: Parts, content: Parts, memo: Strips | None) -> int:
+    rows = len(outer)
+    frontier = {inner + (0,) * (rows - len(inner)): 1}
+    for size in content:
+        if not size:
+            continue
+        grown: dict[Parts, int] = {}
+        if size == 1 and memo is None:
+            # one cell goes to any addable corner; standard contents take
+            # thousands of these steps, so they skip the strip enumerator
+            for shape, count in frontier.items():
+                above = outer[0]
+                for r, row in enumerate(shape):
+                    if row < above and row < outer[r]:
+                        nu = shape[:r] + (row + 1,) + shape[r + 1:]
+                        grown[nu] = grown.get(nu, 0) + count
+                    if not row:
+                        break
+                    above = row
+        else:
+            for shape, count in frontier.items():
+                if memo is None:
+                    strips = _strips(shape, size, outer)
+                else:
+                    key = (shape, size, outer)
+                    strips = memo.get(key)
+                    if strips is None:
+                        strips = memo[key] = _strips(shape, size, outer)
+                for nu in strips:
+                    grown[nu] = grown.get(nu, 0) + count
+        frontier = grown
+    return frontier.get(outer, 0)
 
 
 def kostka_number(
     shape: SkewShape | Sequence[int],
     content: Sequence[int],
-    cache: MutableMapping[tuple, int] | None = None,
+    cache: Strips | None = None,
 ) -> int:
     """Count the semistandard fillings of shape with the given content.
 
     shape may be a SkewShape or a bare partition (meaning a straight shape).
     content is a composition; trailing zeros are irrelevant and stripped. The
-    total must equal the cell count. cache=None uses the shared module cache.
+    total must equal the cell count. cache, when given, is a strip memo: it
+    maps (shape, strip size, outer) to the shapes that strip can reach, so
+    calls that share outer shapes can share one mapping.
     """
     shape = _as_shape(shape)
     content = composition(content)
     if sum(content) != shape.size:
         raise SizeMismatchError(f"content total {sum(content)} does not fill {shape.size} cells")
-    memo = _CACHE if cache is None else cache
-    return _kostka(shape.outer, shape.inner, content, memo)
+    return _kostka(shape.outer, shape.inner, content, cache)
 
 
 @dataclass(frozen=True)
@@ -150,10 +171,15 @@ class KostkaMatrix:
         }
 
 
-def kostka_matrix(n: int, cache: MutableMapping[tuple, int] | None = None) -> KostkaMatrix:
-    """K(lam, mu) for all partition pairs of n; rows are shapes, columns contents."""
+def kostka_matrix(n: int, cache: Strips | None = None) -> KostkaMatrix:
+    """K(lam, mu) for all partition pairs of n; rows are shapes, columns contents.
+
+    Every entry is one kostka_number call, and all of them share one strip
+    memo: cache, or a fresh dict.
+    """
+    memo = {} if cache is None else cache
     parts = tuple(partitions_of(n))
     values = tuple(
-        tuple(kostka_number(SkewShape(lam), mu, cache=cache) for mu in parts) for lam in parts
+        tuple(kostka_number(shape, mu, cache=memo) for mu in parts) for shape in map(SkewShape, parts)
     )
     return KostkaMatrix(n=n, partitions=parts, values=values)

@@ -147,8 +147,7 @@ def verify_monotonicity(max_n: int, include_skew: bool = False) -> Checks:
 
     Straight shapes run over all partitions of each m <= max_n. With include_skew,
     translation-canonical skew shapes with up to max_n cells fitting a 4-row by
-    max_n-column box run as well, each on an isolated cache to keep the shared one
-    lean.
+    max_n-column box run as well, each with its own strip memo.
     """
 
     def check(shape: SkewShape, label: str, cache: dict | None = None) -> Checks:
@@ -399,7 +398,7 @@ def verify_oracle_equivalence(max_cells: int) -> Checks:
         for lam in partitions_of(m):
             shape = SkewShape(lam)
             census = {c: len(ts) for c, ts in content_census(shape, m + 1).items()}
-            local: dict[tuple, int] = {}
+            local: dict = {}
             for content in family:
                 dp = kostka_number(shape, content, cache=local)
                 expected = census.get(content, 0)

@@ -1,4 +1,4 @@
-"""The counting engine: DP values, matrices, and caching."""
+"""The counting engine: walk values, long contents, matrices, and strip memos."""
 
 import json
 import random
@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kostka.engine
 from kostka import (
     SizeMismatchError,
     SkewShape,
-    cache_size,
-    clear_cache,
+    count_bounded_compositions,
     dominates,
     enumerate_ssyt,
     kostka_matrix,
@@ -71,30 +71,54 @@ class TestKostkaNumber:
         assert kostka_number(shape, mu) == len(enumerate_ssyt(shape, mu))
 
 
+class TestLongContents:
+    """Contents far longer than any recursion limit; the walk is iterative.
+
+    Each runs without a memo (one-cell steps inline) and with one (every step
+    through the strip enumerator).
+    """
+
+    @pytest.mark.parametrize("shape", [(200, 200), (267, 133)])
+    def test_two_row_standard_matches_bounded_compositions(self, shape):
+        # K((n-k, k), mu) = c_k - c_(k-1), with c_j the compositions of j bounded by mu
+        content = (1,) * 400
+        k = shape[1]
+        expected = count_bounded_compositions(content, k) - count_bounded_compositions(content, k - 1)
+        assert kostka_number(shape, content) == expected
+        assert kostka_number(shape, content, cache={}) == expected
+
+    def test_single_column_and_single_row(self):
+        for cache in (None, {}):
+            assert kostka_number((1,) * 1000, (1,) * 1000, cache=cache) == 1
+            assert kostka_number((400,), (1,) * 400, cache=cache) == 1
+
+
 class TestCaching:
-    def test_shared_cache_grows_and_clears(self):
-        clear_cache()
-        assert cache_size() == 0
-        kostka_number((3, 2, 1), (1, 1, 1, 1, 1, 1))
-        assert cache_size() > 0
-        clear_cache()
-        assert cache_size() == 0
-
-    def test_isolated_cache_leaves_shared_alone(self):
-        clear_cache()
-        local = {}
-        kostka_number((3, 2, 1), (1, 1, 1, 1, 1, 1), cache=local)
-        assert cache_size() == 0
-        assert len(local) > 0
-
     def test_results_independent_of_cache_mode(self):
         rng = random.Random(20260817)
         pool = [(lam, mu) for m in range(9) for lam in partitions_of(m) for mu in partitions_of(m)]
-        clear_cache()
+        reused = {}
         for lam, mu in rng.sample(pool, 60):
-            shared = kostka_number(lam, mu)
-            isolated = kostka_number(lam, mu, cache={})
-            assert shared == isolated
+            plain = kostka_number(lam, mu)
+            assert kostka_number(lam, mu, cache={}) == plain
+            assert kostka_number(lam, mu, cache=reused) == plain
+        assert reused
+
+    def test_matrix_routes_every_entry_through_one_memo(self, monkeypatch):
+        # the benchmark's tracer counts memo traffic only through kostka_number's cache=
+        calls = []
+        real = kostka.engine.kostka_number
+
+        def record(shape, content, cache=None):
+            calls.append(cache)
+            return real(shape, content, cache=cache)
+
+        monkeypatch.setattr(kostka.engine, "kostka_number", record)
+        memo = {}
+        kostka_matrix(6, cache=memo)
+        assert len(calls) == len(partitions_of(6)) ** 2 == 121
+        assert all(cache is memo for cache in calls)
+        assert memo
 
 
 class TestKostkaMatrix:
