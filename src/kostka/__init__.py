@@ -40,11 +40,13 @@ from .tableaux import (
     enumerate_ssyt,
     is_semistandard,
     iter_semistandard,
+    semistandard_words,
+    word_content,
 )
 from .transfer_classes import (
     ClassSignature,
-    adjacent_transfer_counts,
     count_in_class,
+    masked_word,
     signature_census,
     signature_of,
     transfer_target,

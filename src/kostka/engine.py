@@ -174,12 +174,13 @@ class KostkaMatrix:
 def kostka_matrix(n: int, cache: Strips | None = None) -> KostkaMatrix:
     """K(lam, mu) for all partition pairs of n; rows are shapes, columns contents.
 
-    Every entry is one kostka_number call, and all of them share one strip
-    memo: cache, or a fresh dict.
+    Every entry is one kostka_number call with a strip memo. A passed cache is
+    shared by all entries; otherwise each row gets a fresh dict, since memo keys
+    hold the row's outer shape and so never repeat across rows.
     """
-    memo = {} if cache is None else cache
     parts = tuple(partitions_of(n))
-    values = tuple(
-        tuple(kostka_number(shape, mu, cache=memo) for mu in parts) for shape in map(SkewShape, parts)
-    )
-    return KostkaMatrix(n=n, partitions=parts, values=values)
+    values = []
+    for shape in map(SkewShape, parts):
+        memo = {} if cache is None else cache
+        values.append(tuple(kostka_number(shape, mu, cache=memo) for mu in parts))
+    return KostkaMatrix(n=n, partitions=parts, values=tuple(values))

@@ -3,12 +3,13 @@
 Cells are (row, column) pairs, both 1-based. A skew shape holds the cells of its
 outer partition that are not covered by its inner partition; a straight shape has
 an empty inner partition. Enumeration here is the slow, obviously-correct oracle;
-speed lives in the dynamic-programming engine.
+speed lives in the dynamic-programming engine. One backtracking loop enumerates
+fillings as flat reading words; Tableau objects are built from those words only
+where the API hands tableaux out.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterator, Sequence
@@ -135,61 +136,72 @@ def is_semistandard(t: Tableau) -> bool:
     return True
 
 
+def word_content(word: Sequence[int]) -> Parts:
+    """Multiplicity vector of a word's entries, indexed 1..max entry; the empty word gives ()."""
+    if not word:
+        return ()
+    return tuple(map(word.count, range(1, max(word) + 1)))
+
+
 def content_of(t: Tableau) -> Parts:
     """Multiplicity vector of the entries, indexed 1..max entry; empty shape gives ()."""
-    counts = Counter(t.reading_word())
-    if not counts:
-        return ()
-    top = max(counts)
-    return tuple(counts.get(v, 0) for v in range(1, top + 1))
+    return word_content(t.reading_word())
 
 
-def _fillings(shape: SkewShape, n_values: int, remaining: list[int] | None) -> Iterator[Tableau]:
-    """Backtracking over cells in row-major order, candidate values ascending.
+def semistandard_words(
+    shape: SkewShape, max_entry: int, content: Sequence[int] | None = None
+) -> Iterator[tuple[int, ...]]:
+    """Every semistandard filling with entries in 1..max_entry, as its reading word.
 
-    remaining, when given, holds how many copies of each value are still unplaced;
-    that makes the output exactly the fillings with a prescribed content. The
-    row-major order with ascending candidates yields tableaux in lexicographic
-    order of their reading words.
+    The reading word lists the entries row by row, top to bottom, left to right.
+    content, when given, holds max_entry multiplicities: content[k] copies of the
+    entry k+1. Backtracking runs over the cells in row-major order with ascending
+    candidates, so the words come out in lexicographic order; it is a loop over
+    cell positions, not a recursion, so long shapes cannot exhaust the stack.
     """
+    if max_entry < 0:
+        raise ValueError(f"max_entry must be non-negative, got {max_entry}")
+    if content is not None and len(content) != max_entry:
+        raise ValueError(f"content needs {max_entry} multiplicities, got {len(content)}")
     cells = shape.cells()
-    above: dict[int, int] = {}
+    n = len(cells)
+    # copies of each entry still unplaced; without a content, more than fit
+    remaining = [n] * (max_entry + 1) if content is None else [0, *content]
     index_of = {cell: k for k, cell in enumerate(cells)}
-    for k, (r, c) in enumerate(cells):
-        if (r - 1, c) in index_of:
-            above[k] = index_of[(r - 1, c)]
-    values = [0] * len(cells)
-    row_lengths = [shape.outer[r] - shape.inner_at(r + 1) for r in range(shape.n_rows)]
+    # positions of the left neighbour in the row and of the cell above; a missing
+    # one is -1, the last slot of values, which stays 0
+    left = [k - 1 if k and cells[k - 1][0] == r else -1 for k, (r, _) in enumerate(cells)]
+    up = [index_of.get((r - 1, c), -1) for r, c in cells]
+    values = [0] * (n + 1)
+    k, v = 0, 1
+    while k >= 0:
+        if k == n:
+            yield tuple(values[:n])
+        else:
+            while v <= max_entry and not remaining[v]:
+                v += 1
+            if v <= max_entry:
+                values[k] = v
+                remaining[v] -= 1
+                k += 1
+                if k < n:
+                    v = max(values[left[k]], values[up[k]] + 1)
+                continue
+        # step back and try the next value at the previous cell
+        k -= 1
+        remaining[values[k]] += 1
+        v = values[k] + 1
 
-    def snapshot() -> Tableau:
-        rows = []
-        k = 0
-        for length in row_lengths:
-            rows.append(tuple(values[k:k + length]))
-            k += length
-        return Tableau(shape, tuple(rows))
 
-    def go(k: int) -> Iterator[Tableau]:
-        if k == len(cells):
-            yield snapshot()
-            return
-        low = 1
-        if k and cells[k - 1][0] == cells[k][0]:
-            low = values[k - 1]
-        above_k = above.get(k)
-        if above_k is not None:
-            low = max(low, values[above_k] + 1)
-        for v in range(low, n_values + 1):
-            if remaining is not None:
-                if not remaining[v - 1]:
-                    continue
-                remaining[v - 1] -= 1
-            values[k] = v
-            yield from go(k + 1)
-            if remaining is not None:
-                remaining[v - 1] += 1
-
-    yield from go(0)
+def _tableaux(shape: SkewShape, words: Iterator[tuple[int, ...]]) -> Iterator[Tableau]:
+    bounds = []
+    k = 0
+    for r in range(1, shape.n_rows + 1):
+        first, last = shape.row_span(r)
+        bounds.append((k, k + last - first + 1))
+        k += last - first + 1
+    for word in words:
+        yield Tableau(shape, tuple(word[a:b] for a, b in bounds))
 
 
 def enumerate_ssyt(shape: SkewShape, content: Sequence[int]) -> list[Tableau]:
@@ -205,11 +217,9 @@ def enumerate_ssyt(shape: SkewShape, content: Sequence[int]) -> list[Tableau]:
             raise ValueError(f"content multiplicities must be non-negative, got {m!r} at position {k + 1}")
     if sum(content) != shape.size:
         raise SizeMismatchError(f"content total {sum(content)} does not fill {shape.size} cells")
-    return list(_fillings(shape, len(content), list(content)))
+    return list(_tableaux(shape, semistandard_words(shape, len(content), content)))
 
 
 def iter_semistandard(shape: SkewShape, max_entry: int) -> Iterator[Tableau]:
     """Lazily enumerate every semistandard filling with entries in 1..max_entry."""
-    if max_entry < 0:
-        raise ValueError(f"max_entry must be non-negative, got {max_entry}")
-    yield from _fillings(shape, max_entry, None)
+    yield from _tableaux(shape, semistandard_words(shape, max_entry))

@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .counting import count_bounded_compositions
 from .partitions import Parts, SizeMismatchError, composition, part_at
-from .tableaux import Cell, SkewShape, Tableau, enumerate_ssyt, is_semistandard
+from .tableaux import Cell, SkewShape, Tableau, is_semistandard
 
 
 @dataclass(frozen=True)
@@ -96,6 +96,17 @@ def signature_of(t: Tableau, index: int) -> ClassSignature:
     )
 
 
+def masked_word(word: Sequence[int], index: int) -> tuple[int, ...]:
+    """A reading word with every index and index+1 replaced by 0: the key of its class.
+
+    Two semistandard fillings of one shape have equal signatures exactly when their
+    masked words are equal: the masked word is the skeleton read cell by cell, and
+    the skeleton fixes the available cells and with them the paired columns and
+    row counts.
+    """
+    return tuple(0 if v == index or v == index + 1 else v for v in word)
+
+
 def count_in_class(sig: ClassSignature, target: Sequence[int]) -> int:
     """How many tableaux of the class have the given content.
 
@@ -138,17 +149,6 @@ def transfer_target(mu: Sequence[int], index: int) -> Parts:
     moved[index - 1] -= 1
     moved[index] += 1
     return composition(moved)
-
-
-def adjacent_transfer_counts(shape: SkewShape, mu: Sequence[int], index: int) -> tuple[int, int]:
-    """Tableau counts before and after an adjacent transfer of the content at index.
-
-    Both counts come from the enumeration oracle, not the DP engine; the transfer
-    precondition is the one of transfer_target.
-    """
-    mu = composition(mu)
-    nu = transfer_target(mu, index)
-    return len(enumerate_ssyt(shape, mu)), len(enumerate_ssyt(shape, nu))
 
 
 def signature_census(shape: SkewShape, tableaux: Sequence[Tableau], index: int) -> dict[ClassSignature, int]:

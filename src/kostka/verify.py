@@ -34,8 +34,8 @@ from .partitions import (
     part_at,
     partitions_of,
 )
-from .tableaux import SkewShape, Tableau, content_of, iter_semistandard
-from .transfer_classes import signature_census, transfer_target
+from .tableaux import SkewShape, semistandard_words, word_content
+from .transfer_classes import masked_word, transfer_target
 
 _MAX_SHOWN = 50
 Checks = Iterator[list[dict]]
@@ -253,12 +253,13 @@ def verify_bounded_counts(max_len: int = 4, max_entry: int = 4) -> Checks:
             yield [] if total == normalization else [{"caps": caps, "kind": "normalization"}]
 
 
-def content_census(shape: SkewShape, max_entry: int) -> dict[Parts, list[Tableau]]:
-    """Every semistandard filling with entries up to max_entry, grouped by content."""
-    census: dict[Parts, list[Tableau]] = defaultdict(list)
-    for t in iter_semistandard(shape, max_entry):
-        census[content_of(t)].append(t)
-    return dict(census)
+def content_census(shape: SkewShape, max_entry: int) -> dict[Parts, list[tuple[int, ...]]]:
+    """The reading word of every semistandard filling with entries up to max_entry, grouped by content."""
+    # the words of one content sort to one tuple, which is cheaper to key by
+    by_entries: dict[tuple[int, ...], list[tuple[int, ...]]] = defaultdict(list)
+    for word in semistandard_words(shape, max_entry):
+        by_entries[tuple(sorted(word))].append(word)
+    return {word_content(entries): words for entries, words in by_entries.items()}
 
 
 def bounded_content_family(m: int) -> list[Parts]:
@@ -302,48 +303,55 @@ def verify_adjacent_transfer(max_cells: int, include_skew: bool = False) -> Chec
     every translation-canonical skew shape in a 4-row box), every content in the
     bounded family with part i exceeding part i+1: the count for the transferred
     content dominates, and already per signature class. Counts come from the
-    enumeration census, not the DP. Contents absent from the census have count
-    zero and satisfy both claims trivially, so only census contents are walked.
+    enumeration census, not the DP, and classes are keyed by masked reading words
+    (equal exactly when the signatures are). Contents absent from the census have
+    count zero and satisfy both claims trivially, so only census contents are
+    walked.
     """
     for shape in _transfer_shapes(max_cells, include_skew):
         m = shape.size
         label = f"{format_parts(shape.outer)}/{format_parts(shape.inner)}" if shape.inner else format_parts(shape.outer)
+        cells = shape.cells()
         census = content_census(shape, m + 2)
         for mu in sorted(census):
             if len(mu) > m + 1:
                 continue
-            mu_tabs = census[mu]
+            mu_words = census[mu]
             for i in range(1, len(mu) + 1):
                 if part_at(mu, i) <= part_at(mu, i + 1):
                     continue
                 nu = transfer_target(mu, i)
-                nu_tabs = census.get(nu, [])
+                nu_words = census.get(nu, [])
                 found = []
-                if len(mu_tabs) > len(nu_tabs):
+                if len(mu_words) > len(nu_words):
                     found.append(
                         {
                             "shape": label,
                             "mu": format_parts(mu),
                             "index": i,
-                            "count_mu": len(mu_tabs),
-                            "count_nu": len(nu_tabs),
+                            "count_mu": len(mu_words),
+                            "count_nu": len(nu_words),
                         }
                     )
-                mu_classes = signature_census(shape, mu_tabs, i)
-                nu_classes = signature_census(shape, nu_tabs, i)
-                for sig, count in sorted(mu_classes.items(), key=lambda kv: kv[0].skeleton):
-                    if count > nu_classes.get(sig, 0):
-                        found.append(
-                            {
-                                "shape": label,
-                                "mu": format_parts(mu),
-                                "index": i,
-                                "kind": "class",
-                                "skeleton": sig.skeleton,
-                                "count_mu": count,
-                                "count_nu": nu_classes.get(sig, 0),
-                            }
-                        )
+                mu_classes = Counter(masked_word(w, i) for w in mu_words)
+                nu_classes = Counter(masked_word(w, i) for w in nu_words)
+                short = []
+                for key, count in mu_classes.items():
+                    if count > nu_classes[key]:
+                        skeleton = tuple((cell, e) for cell, e in zip(cells, key) if e)
+                        short.append((skeleton, count, nu_classes[key]))
+                for skeleton, count_mu, count_nu in sorted(short):
+                    found.append(
+                        {
+                            "shape": label,
+                            "mu": format_parts(mu),
+                            "index": i,
+                            "kind": "class",
+                            "skeleton": skeleton,
+                            "count_mu": count_mu,
+                            "count_nu": count_nu,
+                        }
+                    )
                 yield found
 
 
@@ -397,7 +405,7 @@ def verify_oracle_equivalence(max_cells: int) -> Checks:
         family = bounded_content_family(m)
         for lam in partitions_of(m):
             shape = SkewShape(lam)
-            census = {c: len(ts) for c, ts in content_census(shape, m + 1).items()}
+            census = {c: len(words) for c, words in content_census(shape, m + 1).items()}
             local: dict = {}
             for content in family:
                 dp = kostka_number(shape, content, cache=local)

@@ -120,6 +120,23 @@ class TestCaching:
         assert all(cache is memo for cache in calls)
         assert memo
 
+    def test_matrix_without_cache_gives_each_row_its_own_memo(self, monkeypatch):
+        calls = []
+        real = kostka.engine.kostka_number
+
+        def record(shape, content, cache=None):
+            calls.append(cache)
+            return real(shape, content, cache=cache)
+
+        monkeypatch.setattr(kostka.engine, "kostka_number", record)
+        kostka_matrix(6)
+        # rows are shapes: one fresh memo per row, shared along the row
+        assert len(calls) == 121
+        rows = [calls[k:k + 11] for k in range(0, 121, 11)]
+        for row in rows:
+            assert row[0] is not None and all(cache is row[0] for cache in row)
+        assert len({id(row[0]) for row in rows}) == 11
+
 
 class TestKostkaMatrix:
     def test_n4_frozen(self):

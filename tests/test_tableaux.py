@@ -10,6 +10,8 @@ from kostka import (
     enumerate_ssyt,
     is_semistandard,
     iter_semistandard,
+    semistandard_words,
+    word_content,
 )
 
 
@@ -153,3 +155,34 @@ class TestEnumeration:
             assert len(enumerate_ssyt(shape, padded)) == len(group)
         assert all(is_semistandard(t) for t in every)
         assert len({t.rows for t in every}) == len(every)
+
+    def test_words_are_the_reading_words_in_lexicographic_order(self):
+        shape = SkewShape((3, 2), (1,))
+        words = list(semistandard_words(shape, 4))
+        assert words == [t.reading_word() for t in iter_semistandard(shape, 4)]
+        assert words == sorted(set(words))
+        assert list(semistandard_words(shape, 3, (1, 2, 1))) == [
+            t.reading_word() for t in enumerate_ssyt(shape, (1, 2, 1))
+        ]
+        with pytest.raises(ValueError):
+            list(semistandard_words(shape, 4, (1, 2, 1)))
+
+    def test_word_content(self):
+        assert word_content((1, 3, 3)) == (1, 0, 2)
+        assert word_content(()) == ()
+
+
+class TestLongShapes:
+    """The enumerator loops over cells instead of recursing, so long rows fit."""
+
+    def test_one_long_row(self):
+        tabs = enumerate_ssyt(SkewShape((1000,)), (1000,))
+        assert [t.rows for t in tabs] == [((1,) * 1000,)]
+
+    def test_two_long_rows(self):
+        tabs = enumerate_ssyt(SkewShape((600, 400)), (600, 400))
+        assert [t.rows for t in tabs] == [((1,) * 600, (2,) * 400)]
+
+    def test_long_row_two_values(self):
+        # one filling per number of 1s
+        assert len(list(iter_semistandard(SkewShape((1000,)), 2))) == 1001

@@ -8,10 +8,11 @@ from kostka import (
     SizeMismatchError,
     SkewShape,
     Tableau,
-    adjacent_transfer_counts,
+    canonical_box_skew_shapes,
     content_of,
     count_in_class,
     iter_semistandard,
+    masked_word,
     partitions_of,
     signature_census,
     signature_of,
@@ -111,20 +112,26 @@ class TestTransferTarget:
             transfer_target((2, 1), 0)
 
 
-class TestAdjacentTransferCounts:
-    def test_frozen_examples(self):
-        assert adjacent_transfer_counts(SkewShape((2, 1)), (2, 1, 0), 2) == (1, 1)
-        assert adjacent_transfer_counts(SkewShape((3, 1)), (3, 1), 1) == (1, 1)
-        assert adjacent_transfer_counts(SkewShape((2, 1)), (2, 1), 1) == (1, 1)
+class TestMaskedWord:
+    def test_examples(self):
+        assert masked_word((1, 2, 3, 2), 2) == (1, 0, 0, 0)
+        assert masked_word((1, 1, 4), 1) == (0, 0, 4)
+        assert masked_word((), 3) == ()
 
-    def test_inequality_on_a_strict_case(self):
-        # three equal entries cannot fill (2,1), so the count jumps from 0 to 1
-        before, after = adjacent_transfer_counts(SkewShape((2, 1)), (3, 0), 1)
-        assert (before, after) == (0, 1)
-
-    def test_precondition_propagates(self):
-        with pytest.raises(ValueError):
-            adjacent_transfer_counts(SkewShape((2, 1)), (1, 2), 1)
+    def test_same_partition_as_signatures(self):
+        # every filling with entries up to m+1 of every straight shape with up to 6
+        # cells and of every canonical skew shape in a 3 x 4 box with up to 4 cells
+        shapes = [SkewShape(lam) for m in range(7) for lam in partitions_of(m)]
+        shapes += canonical_box_skew_shapes(3, 4, 4)
+        for shape in shapes:
+            tableaux = list(iter_semistandard(shape, shape.size + 1))
+            for index in range(1, 5):
+                by_key = defaultdict(set)
+                by_signature = defaultdict(set)
+                for t in tableaux:
+                    by_key[masked_word(t.reading_word(), index)].add(t.rows)
+                    by_signature[signature_of(t, index)].add(t.rows)
+                assert sorted(map(sorted, by_key.values())) == sorted(map(sorted, by_signature.values()))
 
 
 def masked(content, index, width):

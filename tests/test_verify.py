@@ -133,6 +133,30 @@ class TestFaultInjection:
             {"shape": "2", "mu": "2", "index": 1, "kind": "class", "skeleton": (), "count_mu": 1, "count_nu": 0},
         ]
 
+    def test_adjacent_transfer_class_fault_keeps_totals(self, monkeypatch):
+        # the census swaps the only filling 1 2 3 of (3,) for the word 3 1 2: every
+        # content total stays, but the three transfers into or out of (1,1,1) now
+        # compare fillings of different classes
+        real = kostka.verify.content_census
+
+        def census(shape, max_entry):
+            found = real(shape, max_entry)
+            if shape == SkewShape((3,)):
+                found[(1, 1, 1)] = [(3, 1, 2)]
+            return found
+
+        monkeypatch.setattr(kostka.verify, "content_census", census)
+        report = verify_adjacent_transfer(3)
+        assert not report.ok
+        assert report.violations == [
+            {"shape": "3", "mu": "1,1,1", "index": 3, "kind": "class",
+             "skeleton": (((1, 2), 1), ((1, 3), 2)), "count_mu": 1, "count_nu": 0},
+            {"shape": "3", "mu": "1,2", "index": 2, "kind": "class",
+             "skeleton": (((1, 1), 1),), "count_mu": 1, "count_nu": 0},
+            {"shape": "3", "mu": "2,0,1", "index": 1, "kind": "class",
+             "skeleton": (((1, 3), 3),), "count_mu": 1, "count_nu": 0},
+        ]
+
     def test_covers_fault_is_caught(self, monkeypatch):
         monkeypatch.setattr(kostka.verify, "covers", lambda mu: [] if mu == (3, 1) else covers(mu))
         report = verify_covers(4)
@@ -201,7 +225,7 @@ class TestContentCensus:
 
     def test_keys_are_observed_contents(self):
         census = content_census(SkewShape((2, 1)), 3)
-        assert (1, 1, 1) in census and len(census[(1, 1, 1)]) == 2
+        assert census[(1, 1, 1)] == [(1, 2, 3), (1, 3, 2)]  # reading words, lexicographic
         assert (2, 1) in census and (1, 2) in census
         assert (3,) not in census  # three equal entries cannot fill (2, 1)
 
