@@ -34,6 +34,7 @@ from .verify import run_standard_suites
 
 Output = tuple[dict, list[str]]
 MAX_MATRIX_N = 24  # kostka_matrix time grows about 3.5x per +2 in n; n=20 took 18 s, 202 MB peak RSS on 2 CPUs
+MAX_VERIFY_N = 8  # verify time grows about 6x per +1 in max_n; max_n=7 took 6 s, max_n=8 37 s, 92 MB peak RSS on 2 CPUs
 
 
 class CliError(Exception):
@@ -43,6 +44,13 @@ class CliError(Exception):
         super().__init__(f"{flag}: {message}")
         self.flag = flag
         self.message = message
+
+
+def _check_size(flag: str, n: int, cap: int) -> None:
+    if n < 0:
+        raise CliError(flag, "a non-negative integer is required")
+    if n > cap:
+        raise CliError(flag, f"at most {cap} is supported, got {n}")
 
 
 def _parse(flag: str, text: str, kind: Callable[[Sequence[int]], Parts] = partition) -> Parts:
@@ -87,10 +95,7 @@ def _matrix_text(labels: list[str], values: Sequence[Sequence[int]]) -> list[str
 
 
 def _matrix(args: argparse.Namespace) -> Output:
-    if args.n < 0:
-        raise CliError("--n", "a non-negative integer is required")
-    if args.n > MAX_MATRIX_N:
-        raise CliError("--n", f"at most {MAX_MATRIX_N} is supported, got {args.n}")
+    _check_size("--n", args.n, MAX_MATRIX_N)
     matrix = kostka_matrix(args.n)
     if args.fmt == "csv":
         return matrix.to_json_dict(), matrix.to_csv().splitlines()
@@ -191,8 +196,7 @@ def _classes(args: argparse.Namespace) -> Output:
 
 
 def _verify(args: argparse.Namespace) -> Output:
-    if args.max_n < 0:
-        raise CliError("--max-n", "a non-negative integer is required")
+    _check_size("--max-n", args.max_n, MAX_VERIFY_N)
     if args.parallelism < 1:
         raise CliError("--parallelism", "a positive integer is required")
     reports = run_standard_suites(args.max_n, args.parallelism)

@@ -8,13 +8,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-
-def _validated(caps: Sequence[int]) -> tuple[int, ...]:
-    caps = tuple(caps)
-    for k, c in enumerate(caps):
-        if isinstance(c, bool) or not isinstance(c, int) or c < 0:
-            raise ValueError(f"caps must be non-negative integers, got {c!r} at position {k + 1}")
-    return caps
+from .partitions import composition
 
 
 def count_bounded_compositions(caps: Sequence[int], total: int) -> int:
@@ -23,7 +17,7 @@ def count_bounded_compositions(caps: Sequence[int], total: int) -> int:
     Dynamic programming over prefixes, one coordinate at a time; totals outside
     [0, sum(caps)] count zero, including negative ones.
     """
-    caps = _validated(caps)
+    caps = composition(caps)
     if total < 0 or total > sum(caps):
         return 0
     row = [0] * (total + 1)
@@ -43,7 +37,7 @@ def split_by_first_part(caps: Sequence[int], total: int) -> tuple[int, int]:
     The two summands always add up to count_bounded_compositions(caps, total).
     Requires at least one cap and caps[0] >= 1.
     """
-    caps = _validated(caps)
+    caps = composition(caps)
     if not caps:
         raise ValueError("split needs at least one cap")
     if caps[0] == 0:

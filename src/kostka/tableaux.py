@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Iterator, Sequence
 
-from .partitions import Parts, SizeMismatchError, partition
+from .partitions import Parts, SizeMismatchError, composition, partition
 
 Cell = tuple[int, int]
 
@@ -212,10 +212,8 @@ def enumerate_ssyt(shape: SkewShape, content: Sequence[int]) -> list[Tableau]:
     lexicographically by reading word.
     """
     content = tuple(content)
-    for k, m in enumerate(content):
-        if isinstance(m, bool) or not isinstance(m, int) or m < 0:
-            raise ValueError(f"content multiplicities must be non-negative, got {m!r} at position {k + 1}")
-    if sum(content) != shape.size:
+    # composition rejects negative or non-integer multiplicities
+    if sum(composition(content)) != shape.size:
         raise SizeMismatchError(f"content total {sum(content)} does not fill {shape.size} cells")
     return list(_tableaux(shape, semistandard_words(shape, len(content), content)))
 

@@ -148,7 +148,8 @@ def transfer_target(mu: Sequence[int], index: int) -> Parts:
     moved = list(mu) + [0] * max(0, index + 1 - len(mu))
     moved[index - 1] -= 1
     moved[index] += 1
-    return composition(moved)
+    # the last part is positive: it is mu's last part or the one just moved
+    return tuple(moved)
 
 
 def signature_census(shape: SkewShape, tableaux: Sequence[Tableau], index: int) -> dict[ClassSignature, int]:

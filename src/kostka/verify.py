@@ -6,8 +6,9 @@ backtracking tableau censuses). The oracles never call the code they check.
 
 Each verify_* body is a generator yielding one list per check: that check's
 violation records, [] when it passes. The _suite runner times it and counts one
-check per yield into its Report. Bodies reach the code under test through this
-module's globals, which tests and tracers rebind.
+check per yield into its Report. Bodies reach the code under test, and
+run_standard_suites reaches the suites, through this module's globals, which
+tests and tracers rebind.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .partitions import (
     Parts,
     adjacent_transfer_chain,
     adjacent_transfer_index,
+    composition,
     covers,
     dominates,
     format_parts,
@@ -141,39 +143,47 @@ def canonical_box_skew_shapes(max_rows: int, max_cols: int, max_cells: int) -> l
     return shapes
 
 
+def _shapes(max_cells: int, include_skew: bool) -> Iterator[SkewShape]:
+    """Straight shapes with up to max_cells cells, then with include_skew the canonical skew shapes in a 4-row box."""
+    for m in range(max_cells + 1):
+        for lam in partitions_of(m):
+            yield SkewShape(lam)
+    if include_skew:
+        yield from canonical_box_skew_shapes(4, max_cells, max_cells)
+
+
+def _label(shape: SkewShape) -> str:
+    """outer/inner for a skew shape, the outer partition alone for a straight one."""
+    outer = format_parts(shape.outer)
+    return f"{outer}/{format_parts(shape.inner)}" if shape.inner else outer
+
+
 @_suite("dominance-monotonicity")
 def verify_monotonicity(max_n: int, include_skew: bool = False) -> Checks:
     """Check K(shape, mu) <= K(shape, nu) whenever mu dominates nu.
 
     Straight shapes run over all partitions of each m <= max_n. With include_skew,
     translation-canonical skew shapes with up to max_n cells fitting a 4-row by
-    max_n-column box run as well, each with its own strip memo.
+    max_n-column box run as well.
     """
-
-    def check(shape: SkewShape, label: str, cache: dict | None = None) -> Checks:
-        parts = partitions_of(shape.size)
-        counts = {mu: kostka_number(shape, mu, cache=cache) for mu in parts}
-        for mu in parts:
-            for nu in parts:
-                if not dominates(mu, nu):
-                    continue
-                yield [] if counts[mu] <= counts[nu] else [
-                    {
-                        "shape": label,
-                        "mu": format_parts(mu),
-                        "nu": format_parts(nu),
-                        "count_mu": counts[mu],
-                        "count_nu": counts[nu],
-                    }
-                ]
-
+    # dominance depends on the size only, so each size's pairs are listed once
+    pairs = {}
     for m in range(max_n + 1):
-        for lam in partitions_of(m):
-            yield from check(SkewShape(lam), format_parts(lam))
-    if include_skew:
-        for shape in canonical_box_skew_shapes(4, max_n, max_n):
-            label = f"{format_parts(shape.outer)}/{format_parts(shape.inner)}"
-            yield from check(shape, label, cache={})
+        parts = partitions_of(m)
+        pairs[m] = [(mu, nu) for mu in parts for nu in parts if dominates(mu, nu)]
+    for shape in _shapes(max_n, include_skew):
+        label = _label(shape)
+        counts = {mu: kostka_number(shape, mu) for mu in partitions_of(shape.size)}
+        for mu, nu in pairs[shape.size]:
+            yield [] if counts[mu] <= counts[nu] else [
+                {
+                    "shape": label,
+                    "mu": format_parts(mu),
+                    "nu": format_parts(nu),
+                    "count_mu": counts[mu],
+                    "count_nu": counts[nu],
+                }
+            ]
 
 
 def brute_force_covers(n: int) -> dict[Parts, set[Parts]]:
@@ -278,21 +288,8 @@ def bounded_content_family(m: int) -> list[Parts]:
             for rest in comps(total - first, k - 1):
                 yield (first,) + rest
 
-    family = set()
-    for c in comps(m, m + 1):
-        k = len(c)
-        while k and c[k - 1] == 0:
-            k -= 1
-        family.add(c[:k])
-    return sorted(family)
-
-
-def _transfer_shapes(max_cells: int, include_skew: bool) -> Iterator[SkewShape]:
-    for m in range(max_cells + 1):
-        for lam in partitions_of(m):
-            yield SkewShape(lam)
-    if include_skew:
-        yield from canonical_box_skew_shapes(4, max_cells, max_cells)
+    # stripping trailing zeros is one-to-one on vectors of one length
+    return sorted(composition(c) for c in comps(m, m + 1))
 
 
 @_suite("adjacent-transfer")
@@ -308,9 +305,9 @@ def verify_adjacent_transfer(max_cells: int, include_skew: bool = False) -> Chec
     count zero and satisfy both claims trivially, so only census contents are
     walked.
     """
-    for shape in _transfer_shapes(max_cells, include_skew):
+    for shape in _shapes(max_cells, include_skew):
         m = shape.size
-        label = f"{format_parts(shape.outer)}/{format_parts(shape.inner)}" if shape.inner else format_parts(shape.outer)
+        label = _label(shape)
         cells = shape.cells()
         census = content_census(shape, m + 2)
         for mu in sorted(census):
@@ -445,39 +442,26 @@ def verify_permutation_invariance(max_cells: int) -> Checks:
                     ]
 
 
-def _suite_positivity(max_n: int) -> Report:
-    return verify_positivity(max_n)
-
-
-def _suite_monotonicity(max_n: int) -> Report:
-    return verify_monotonicity(max_n, include_skew=True)
-
-
-def _suite_bounded_counts(max_n: int) -> Report:
-    return verify_bounded_counts()
-
-
-def _suite_adjacent_transfer(max_n: int) -> Report:
-    return verify_adjacent_transfer(max_n)
-
-
-def _suite_covers(max_n: int) -> Report:
-    return verify_covers(max_n)
-
-
+# (suite, its arguments after max_n) in CLI order; None runs the suite at its own fixed size
 STANDARD_SUITES = (
-    _suite_positivity,
-    _suite_monotonicity,
-    _suite_bounded_counts,
-    _suite_adjacent_transfer,
-    _suite_covers,
+    ("verify_positivity", ()),
+    ("verify_monotonicity", (True,)),
+    ("verify_bounded_counts", None),
+    ("verify_adjacent_transfer", ()),
+    ("verify_covers", ()),
 )
+
+
+def _run_suite(name: str, args: tuple) -> Report:
+    """Run the suite bound to name in this module now, so a rebinding (a test's, a tracer's) takes effect."""
+    return globals()[name](*args)
 
 
 def run_standard_suites(max_n: int, parallelism: int = 1) -> list[Report]:
     """The five CLI verification suites, in a fixed order regardless of parallelism."""
+    calls = [(name, () if extra is None else (max_n, *extra)) for name, extra in STANDARD_SUITES]
     if parallelism <= 1:
-        return [suite(max_n) for suite in STANDARD_SUITES]
-    with ProcessPoolExecutor(max_workers=min(parallelism, len(STANDARD_SUITES))) as pool:
-        futures = [pool.submit(suite, max_n) for suite in STANDARD_SUITES]
+        return [_run_suite(*call) for call in calls]
+    with ProcessPoolExecutor(max_workers=min(parallelism, len(calls))) as pool:
+        futures = [pool.submit(_run_suite, *call) for call in calls]
         return [f.result() for f in futures]

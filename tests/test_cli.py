@@ -321,6 +321,15 @@ class TestMalformedInput:
         assert (code, out) == (2, "")
         assert err == "error: --n: at most 24 is supported, got 40\n"
 
+    def test_verify_too_large_is_refused_before_running(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the suites must not run")
+
+        monkeypatch.setattr(kostka.cli, "run_standard_suites", refuse)
+        code, out, err = run(capsys, "verify", "--max-n", "9")
+        assert (code, out) == (2, "")
+        assert err == "error: --max-n: at most 8 is supported, got 9\n"
+
     def test_missing_required_flag(self, capsys):
         code, _, err = run(capsys, "compute", "--shape", "2,1")
         assert code == 2

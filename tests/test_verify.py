@@ -264,6 +264,12 @@ class TestStandardSuites:
         ]
         assert all(r.ok for r in reports)
 
+    def test_suites_are_looked_up_by_name_when_run(self, monkeypatch):
+        # tracers rebind suites in kostka.verify; the runner must see the rebinding
+        marked = Report(name="marked", checked=7)
+        monkeypatch.setattr(kostka.verify, "verify_covers", lambda max_n: marked)
+        assert run_standard_suites(2)[4] is marked
+
     def test_parallel_matches_serial(self):
         serial = run_standard_suites(3)
         parallel = run_standard_suites(3, parallelism=2)
@@ -306,6 +312,15 @@ class TestVerifiers:
         report = verify_monotonicity(3)
         assert not report.ok
         assert any(v["mu"] == "3" and v["nu"] == "2,1" for v in report.violations)
+
+
+    def test_monotonicity_labels_skew_and_straight_shapes_alike(self, monkeypatch):
+        monkeypatch.setattr(
+            kostka.verify, "kostka_number", lambda shape, mu, cache=None: 2 if mu == (shape.size,) else 1
+        )
+        labels = {v["shape"] for v in verify_monotonicity(3, include_skew=True).violations}
+        assert "2,1/1" in labels and "2" in labels
+        assert not any(label.endswith("/0") for label in labels)
 
 
 class TestCanonicalSkewShapes:
