@@ -31,6 +31,7 @@ from .partitions import (
     part_at,
     partition,
     partitions_of,
+    transfer_target,
 )
 from .tableaux import (
     Cell,
@@ -49,7 +50,6 @@ from .transfer_classes import (
     masked_word,
     signature_census,
     signature_of,
-    transfer_target,
 )
 from .verify import (
     Report,

@@ -27,13 +27,17 @@ from .partitions import (
     format_parts,
     parse_parts,
     partition,
+    transfer_target,
 )
 from .tableaux import SkewShape, enumerate_ssyt
-from .transfer_classes import count_in_class, signature_census, transfer_target
+from .transfer_classes import count_in_class, signature_census
 from .verify import run_standard_suites
 
 Output = tuple[dict, list[str]]
 MAX_MATRIX_N = 24  # kostka_matrix time grows about 3.5x per +2 in n; n=20 took 18 s, 202 MB peak RSS on 2 CPUs
+# classes enumerates K(shape, mu) + K(shape, nu) fillings; two-row shapes are slowest per filling, and near
+# 2,000 fillings (10,10) took 5 s, (12,12) 23 s on 2 CPUs; dead ends of the enumerator are not bounded by it
+MAX_CLASSES_FILLINGS = 2000
 MAX_VERIFY_N = 8  # verify time grows about 6x per +1 in max_n; max_n=7 took 6 s, max_n=8 37 s, 92 MB peak RSS on 2 CPUs
 
 
@@ -152,6 +156,9 @@ def _classes(args: argparse.Namespace) -> Output:
         nu = transfer_target(mu, index)
     except ValueError as e:
         raise CliError("--index", str(e)) from None
+    fillings = kostka_number(shape, mu) + kostka_number(shape, nu)
+    if fillings > MAX_CLASSES_FILLINGS:
+        raise CliError("--mu", f"at most {MAX_CLASSES_FILLINGS} fillings of mu and nu are supported, got {fillings}")
     mu_classes = signature_census(shape, enumerate_ssyt(shape, mu), index)
     nu_classes = signature_census(shape, enumerate_ssyt(shape, nu), index)
     signatures = sorted(set(mu_classes) | set(nu_classes), key=lambda s: (s.skeleton, s.available))

@@ -171,16 +171,16 @@ class KostkaMatrix:
         }
 
 
-def kostka_matrix(n: int, cache: Strips | None = None) -> KostkaMatrix:
+def kostka_matrix(n: int) -> KostkaMatrix:
     """K(lam, mu) for all partition pairs of n; rows are shapes, columns contents.
 
-    Every entry is one kostka_number call with a strip memo. A passed cache is
-    shared by all entries; otherwise each row gets a fresh dict, since memo keys
-    hold the row's outer shape and so never repeat across rows.
+    Every entry is one kostka_number call with a strip memo. Each row gets a
+    fresh one, since memo keys hold the row's outer shape and so never repeat
+    across rows.
     """
     parts = tuple(partitions_of(n))
     values = []
     for shape in map(SkewShape, parts):
-        memo = {} if cache is None else cache
+        memo = {}
         values.append(tuple(kostka_number(shape, mu, cache=memo) for mu in parts))
     return KostkaMatrix(n=n, partitions=parts, values=tuple(values))

@@ -130,27 +130,7 @@ class CoverMove:
 
 def apply_move(mu: Sequence[int], move: CoverMove) -> Parts:
     """Apply a cover move to mu, validating its preconditions; returns a partition."""
-    mu = partition(mu)
-    i, j = move.i, move.j
-    if move.kind == ROW:
-        if j != i + 1:
-            raise ValueError(f"row moves go to the next row, got i={i}, j={j}")
-        if i < 1 or part_at(mu, i) < part_at(mu, i + 1) + 2:
-            raise ValueError(f"row move needs part i at least part i+1 plus 2 at i={i} in {mu}")
-    elif move.kind == COLUMN:
-        if not 1 <= i < j:
-            raise ValueError(f"column move needs 1 <= i < j, got i={i}, j={j}")
-        top = part_at(mu, i)
-        if top < 2 or part_at(mu, j) != top - 2:
-            raise ValueError(f"column move needs part j equal to part i minus 2 at i={i}, j={j} in {mu}")
-        if any(part_at(mu, k) != top - 1 for k in range(i + 1, j)):
-            raise ValueError(f"column move needs parts strictly between {i} and {j} equal to {top - 1} in {mu}")
-    else:
-        raise ValueError(f"unknown move kind {move.kind!r}")
-    out = list(mu) + [0] * max(0, j - len(mu))
-    out[i - 1] -= 1
-    out[j - 1] += 1
-    return partition(out)
+    return partition(full_transfer_chain(mu, move)[-1])
 
 
 def covers(mu: Sequence[int]) -> list[tuple[CoverMove, Parts]]:
@@ -206,36 +186,64 @@ def cover_chain(mu: Sequence[int], nu: Sequence[int]) -> list[Parts]:
     return chain
 
 
-def adjacent_transfer_chain(mu: Sequence[int], move: CoverMove) -> list[Parts]:
-    """Intermediate compositions interpolating a column cover move.
+def full_transfer_chain(mu: Sequence[int], move: CoverMove) -> list[Parts]:
+    """The whole chain mu, intermediates, target for a cover move, padded to equal width.
 
-    For a column move i -> j the k-th intermediate (k = i+1, ..., j-1) takes one
-    unit from part i and gives it to part k. Results are padded to width j so the
-    chain lines up; a row move has no intermediates and is rejected.
+    Validates the move's preconditions. Each step is one transfer_target: a row
+    move i -> i+1 is one step, and a column move i -> j passes the unit on from
+    part k to part k+1 for k = i, ..., j-1, so its k-th intermediate is mu with
+    one unit moved from part i to part k.
     """
     mu = partition(mu)
+    i, j = move.i, move.j
+    if move.kind == ROW:
+        if j != i + 1:
+            raise ValueError(f"row moves go to the next row, got i={i}, j={j}")
+        if i < 1 or part_at(mu, i) < part_at(mu, i + 1) + 2:
+            raise ValueError(f"row move needs part i at least part i+1 plus 2 at i={i} in {mu}")
+    elif move.kind == COLUMN:
+        if not 1 <= i < j:
+            raise ValueError(f"column move needs 1 <= i < j, got i={i}, j={j}")
+        top = part_at(mu, i)
+        if top < 2 or part_at(mu, j) != top - 2:
+            raise ValueError(f"column move needs part j equal to part i minus 2 at i={i}, j={j} in {mu}")
+        if any(part_at(mu, k) != top - 1 for k in range(i + 1, j)):
+            raise ValueError(f"column move needs parts strictly between {i} and {j} equal to {top - 1} in {mu}")
+    else:
+        raise ValueError(f"unknown move kind {move.kind!r}")
+    chain = [mu]
+    for k in range(i, j):
+        chain.append(transfer_target(chain[-1], k))
+    width = max(len(mu), j)
+    return [step + (0,) * (width - len(step)) for step in chain]
+
+
+def adjacent_transfer_chain(mu: Sequence[int], move: CoverMove) -> list[Parts]:
+    """The intermediates of full_transfer_chain for a column cover move; a row move has none and is rejected."""
     if move.kind != COLUMN:
         raise ValueError("only column moves have intermediate transfer compositions")
-    apply_move(mu, move)
-    width = max(len(mu), move.j)
-    base = mu + (0,) * (width - len(mu))
-    out = []
-    for k in range(move.i + 1, move.j):
-        step = list(base)
-        step[move.i - 1] -= 1
-        step[k - 1] += 1
-        out.append(tuple(step))
-    return out
+    return full_transfer_chain(mu, move)[1:-1]
 
 
-def full_transfer_chain(mu: Sequence[int], move: CoverMove) -> list[Parts]:
-    """The whole chain mu, intermediates, target for a cover move, padded to equal width."""
-    mu = partition(mu)
-    nu = apply_move(mu, move)
-    width = max(len(mu), move.j)
-    pad = lambda t: t + (0,) * (width - len(t))
-    middle = adjacent_transfer_chain(mu, move) if move.kind == COLUMN else []
-    return [pad(mu), *middle, pad(nu)]
+def transfer_target(mu: Sequence[int], index: int) -> Parts:
+    """The content after moving one unit from part index to part index+1.
+
+    Requires index >= 1 and mu_index > mu_{index+1}, so the result differs from mu
+    and keeps non-negative parts; adjacent_transfer_index recognizes the pair.
+    """
+    mu = composition(mu)
+    if index < 1:
+        raise ValueError(f"index must be at least 1, got {index}")
+    if part_at(mu, index) <= part_at(mu, index + 1):
+        raise ValueError(
+            f"transfer needs part {index} to exceed part {index + 1}, "
+            f"got {part_at(mu, index)} and {part_at(mu, index + 1)}"
+        )
+    moved = list(mu) + [0] * max(0, index + 1 - len(mu))
+    moved[index - 1] -= 1
+    moved[index] += 1
+    # the last part is positive: it is mu's last part or the one just moved
+    return tuple(moved)
 
 
 def adjacent_transfer_index(before: Sequence[int], after: Sequence[int]) -> int | None:

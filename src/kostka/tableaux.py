@@ -118,22 +118,24 @@ class Tableau:
         return "\n".join(lines)
 
 
+def _neighbours(shape: SkewShape) -> tuple[list[Cell], list[int], list[int]]:
+    """The cells in row-major order, with the positions of each cell's left neighbour and of the cell above.
+
+    A missing neighbour is -1: the scans pad their words with a trailing 0, which that index reads.
+    """
+    cells = shape.cells()
+    index_of = {cell: k for k, cell in enumerate(cells)}
+    left = [k - 1 if k and cells[k - 1][0] == r else -1 for k, (r, _) in enumerate(cells)]
+    up = [index_of.get((r - 1, c), -1) for r, c in cells]
+    return cells, left, up
+
+
 def is_semistandard(t: Tableau) -> bool:
     """Rows weakly increase and columns strictly increase over the present cells."""
-    sh = t.shape
-    for r in range(1, sh.n_rows + 1):
-        row = t.rows[r - 1]
-        if any(row[k] > row[k + 1] for k in range(len(row) - 1)):
-            return False
-        if r == 1:
-            continue
-        # the column overlap of rows r-1 and r is the interval inner_{r-1}+1 .. outer_r
-        first = sh.inner_at(r - 1) + 1
-        last = sh.outer[r - 1]
-        for c in range(first, last + 1):
-            if t.entry(r - 1, c) >= t.entry(r, c):
-                return False
-    return True
+    _, left, up = _neighbours(t.shape)
+    # entries are positive, so the padding 0 a missing neighbour reads never breaks a comparison
+    word = (*t.reading_word(), 0)
+    return all(word[a] <= v and word[b] < v for v, a, b in zip(word, left, up))
 
 
 def word_content(word: Sequence[int]) -> Parts:
@@ -161,17 +163,15 @@ def semistandard_words(
     """
     if max_entry < 0:
         raise ValueError(f"max_entry must be non-negative, got {max_entry}")
-    if content is not None and len(content) != max_entry:
-        raise ValueError(f"content needs {max_entry} multiplicities, got {len(content)}")
-    cells = shape.cells()
+    if content is not None:
+        if len(content) != max_entry:
+            raise ValueError(f"content needs {max_entry} multiplicities, got {len(content)}")
+        composition(content)  # rejects negative or non-integer multiplicities
+    cells, left, up = _neighbours(shape)
     n = len(cells)
     # copies of each entry still unplaced; without a content, more than fit
     remaining = [n] * (max_entry + 1) if content is None else [0, *content]
-    index_of = {cell: k for k, cell in enumerate(cells)}
-    # positions of the left neighbour in the row and of the cell above; a missing
-    # one is -1, the last slot of values, which stays 0
-    left = [k - 1 if k and cells[k - 1][0] == r else -1 for k, (r, _) in enumerate(cells)]
-    up = [index_of.get((r - 1, c), -1) for r, c in cells]
+    # a missing neighbour (-1) reads the last slot of values, which stays 0
     values = [0] * (n + 1)
     k, v = 0, 1
     while k >= 0:

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .counting import count_bounded_compositions
-from .partitions import Parts, SizeMismatchError, composition, part_at
+# transfer_target lives in partitions and stays importable from here
+from .partitions import SizeMismatchError, composition, part_at, transfer_target  # noqa: F401
 from .tableaux import Cell, SkewShape, Tableau, is_semistandard
 
 
@@ -62,17 +63,13 @@ def signature_of(t: Tableau, index: int) -> ClassSignature:
         raise ValueError(f"index must be at least 1, got {index}")
     if not is_semistandard(t):
         raise ValueError("signatures are defined for semistandard tableaux only")
-    pair = (index, index + 1)
-    skeleton = []
-    available = []
+    cells = t.shape.cells()
+    key = masked_word(t.reading_word(), index)
+    skeleton = tuple((cell, e) for cell, e in zip(cells, key) if e)
+    available = tuple(cell for cell, e in zip(cells, key) if not e)
     rows_by_column: dict[int, list[int]] = defaultdict(list)
-    for r, c in t.shape.cells():
-        e = t.entry(r, c)
-        if e in pair:
-            available.append((r, c))
-            rows_by_column[c].append(r)
-        else:
-            skeleton.append(((r, c), e))
+    for r, c in available:
+        rows_by_column[c].append(r)
     paired = 0
     singles_by_row: dict[int, list[int]] = defaultdict(list)
     for c, rows in rows_by_column.items():
@@ -82,15 +79,15 @@ def signature_of(t: Tableau, index: int) -> ClassSignature:
         else:
             singles_by_row[rows[0]].append(c)
     row_counts = [0] * t.shape.n_rows
+    # available is row-major, so each row's singleton columns arrive in increasing order
     for r, cols in singles_by_row.items():
-        cols.sort()
         assert cols[-1] - cols[0] + 1 == len(cols), "singleton columns of one row must be consecutive"
         row_counts[r - 1] = len(cols)
     return ClassSignature(
         shape=t.shape,
         index=index,
-        skeleton=tuple(sorted(skeleton)),
-        available=tuple(sorted(available)),
+        skeleton=skeleton,
+        available=available,
         paired_columns=paired,
         row_counts=tuple(row_counts),
     )
@@ -129,27 +126,6 @@ def count_in_class(sig: ClassSignature, target: Sequence[int]) -> int:
     # with matching skeletons the half-sum form of the same quantity is an identity
     assert 2 * free_i == part_at(target, i) - part_at(target, i + 1) + sum(sig.row_counts)
     return count_bounded_compositions(sig.row_counts, free_i)
-
-
-def transfer_target(mu: Sequence[int], index: int) -> Parts:
-    """The content after moving one unit from part index to part index+1.
-
-    Requires index >= 1 and mu_index > mu_{index+1}, so the result differs from mu
-    and keeps non-negative parts.
-    """
-    mu = composition(mu)
-    if index < 1:
-        raise ValueError(f"index must be at least 1, got {index}")
-    if part_at(mu, index) <= part_at(mu, index + 1):
-        raise ValueError(
-            f"transfer needs part {index} to exceed part {index + 1}, "
-            f"got {part_at(mu, index)} and {part_at(mu, index + 1)}"
-        )
-    moved = list(mu) + [0] * max(0, index + 1 - len(mu))
-    moved[index - 1] -= 1
-    moved[index] += 1
-    # the last part is positive: it is mu's last part or the one just moved
-    return tuple(moved)
 
 
 def signature_census(shape: SkewShape, tableaux: Sequence[Tableau], index: int) -> dict[ClassSignature, int]:

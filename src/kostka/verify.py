@@ -35,9 +35,10 @@ from .partitions import (
     full_transfer_chain,
     part_at,
     partitions_of,
+    transfer_target,
 )
 from .tableaux import SkewShape, semistandard_words, word_content
-from .transfer_classes import masked_word, transfer_target
+from .transfer_classes import masked_word
 
 _MAX_SHOWN = 50
 Checks = Iterator[list[dict]]
@@ -93,26 +94,6 @@ def _suite(name: str) -> Callable[[Callable[..., Checks]], Callable[..., Report]
     return decorate
 
 
-@_suite("positivity-iff-dominance")
-def verify_positivity(max_n: int) -> Checks:
-    """Check K(lam, mu) > 0 exactly when lam dominates mu, all pairs of each m <= max_n."""
-    for m in range(max_n + 1):
-        parts = partitions_of(m)
-        for lam in parts:
-            shape = SkewShape(lam)
-            for mu in parts:
-                positive = kostka_number(shape, mu) > 0
-                yield [] if positive == dominates(lam, mu) else [
-                    {
-                        "m": m,
-                        "lambda": format_parts(lam),
-                        "mu": format_parts(mu),
-                        "positive": positive,
-                        "dominates": dominates(lam, mu),
-                    }
-                ]
-
-
 def canonical_box_skew_shapes(max_rows: int, max_cols: int, max_cells: int) -> list[SkewShape]:
     """Translation-canonical skew shapes in a max_rows x max_cols box with 1..max_cells cells.
 
@@ -156,6 +137,24 @@ def _label(shape: SkewShape) -> str:
     """outer/inner for a skew shape, the outer partition alone for a straight one."""
     outer = format_parts(shape.outer)
     return f"{outer}/{format_parts(shape.inner)}" if shape.inner else outer
+
+
+@_suite("positivity-iff-dominance")
+def verify_positivity(max_n: int) -> Checks:
+    """Check K(lam, mu) > 0 exactly when lam dominates mu, all pairs of each m <= max_n."""
+    for shape in _shapes(max_n, False):
+        lam = shape.outer
+        for mu in partitions_of(shape.size):
+            positive = kostka_number(shape, mu) > 0
+            yield [] if positive == dominates(lam, mu) else [
+                {
+                    "m": shape.size,
+                    "lambda": _label(shape),
+                    "mu": format_parts(mu),
+                    "positive": positive,
+                    "dominates": dominates(lam, mu),
+                }
+            ]
 
 
 @_suite("dominance-monotonicity")
@@ -425,21 +424,19 @@ def verify_permutation_invariance(max_cells: int) -> Checks:
     rearrangement, including ones with a zero part inserted, so interior zeros get
     exercised.
     """
-    for m in range(max_cells + 1):
-        for lam in partitions_of(m):
-            shape = SkewShape(lam)
-            for mu in partitions_of(m):
-                base = kostka_number(shape, mu)
-                for perm in sorted(set(permutations(mu + (0,)))):
-                    yield [] if kostka_number(shape, perm) == base else [
-                        {
-                            "shape": format_parts(lam),
-                            "mu": format_parts(mu),
-                            "perm": format_parts(perm),
-                            "base": base,
-                            "got": kostka_number(shape, perm),
-                        }
-                    ]
+    for shape in _shapes(max_cells, False):
+        for mu in partitions_of(shape.size):
+            base = kostka_number(shape, mu)
+            for perm in sorted(set(permutations(mu + (0,)))):
+                yield [] if kostka_number(shape, perm) == base else [
+                    {
+                        "shape": _label(shape),
+                        "mu": format_parts(mu),
+                        "perm": format_parts(perm),
+                        "base": base,
+                        "got": kostka_number(shape, perm),
+                    }
+                ]
 
 
 # (suite, its arguments after max_n) in CLI order; None runs the suite at its own fixed size

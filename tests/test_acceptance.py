@@ -112,10 +112,10 @@ class TestAcceptance:
 
     def test_10_matrix_timing_n12_n16(self):
         start = time.perf_counter()
-        m12 = kostka_matrix(12, cache={})
+        m12 = kostka_matrix(12)
         t12 = time.perf_counter() - start
         start = time.perf_counter()
-        m16 = kostka_matrix(16, cache={})
+        m16 = kostka_matrix(16)
         t16 = time.perf_counter() - start
 
         ok_shape = len(m12.partitions) == 77 and len(m16.partitions) == 231

@@ -330,6 +330,16 @@ class TestMalformedInput:
         assert (code, out) == (2, "")
         assert err == "error: --max-n: at most 8 is supported, got 9\n"
 
+    def test_classes_too_many_fillings_is_refused_before_enumerating(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("no filling may be enumerated")
+
+        monkeypatch.setattr(kostka.cli, "enumerate_ssyt", refuse)
+        mu = ",".join(["2"] + ["1"] * 26)
+        code, out, err = run(capsys, "classes", "--shape", "14,14", "--mu", mu, "--index", "1")
+        assert (code, out) == (2, "")
+        assert err == "error: --mu: at most 2000 fillings of mu and nu are supported, got 3863080\n"
+
     def test_missing_required_flag(self, capsys):
         code, _, err = run(capsys, "compute", "--shape", "2,1")
         assert code == 2

@@ -104,22 +104,6 @@ class TestCaching:
             assert kostka_number(lam, mu, cache=reused) == plain
         assert reused
 
-    def test_matrix_routes_every_entry_through_one_memo(self, monkeypatch):
-        # the benchmark's tracer counts memo traffic only through kostka_number's cache=
-        calls = []
-        real = kostka.engine.kostka_number
-
-        def record(shape, content, cache=None):
-            calls.append(cache)
-            return real(shape, content, cache=cache)
-
-        monkeypatch.setattr(kostka.engine, "kostka_number", record)
-        memo = {}
-        kostka_matrix(6, cache=memo)
-        assert len(calls) == len(partitions_of(6)) ** 2 == 121
-        assert all(cache is memo for cache in calls)
-        assert memo
-
     def test_matrix_without_cache_gives_each_row_its_own_memo(self, monkeypatch):
         calls = []
         real = kostka.engine.kostka_number

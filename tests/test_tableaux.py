@@ -1,18 +1,33 @@
 """Skew shapes, tableaux, semistandardness, and the enumeration oracle."""
 
+from itertools import product
+
 import pytest
 
 from kostka import (
     SizeMismatchError,
     SkewShape,
     Tableau,
+    canonical_box_skew_shapes,
     content_of,
     enumerate_ssyt,
     is_semistandard,
     iter_semistandard,
+    partitions_of,
     semistandard_words,
     word_content,
 )
+
+
+def semistandard_by_definition(t: Tableau) -> bool:
+    """Rows weakly increase and every column, read top to bottom, strictly increases."""
+    grid = {}
+    for r, row in enumerate(t.rows, start=1):
+        for k, e in enumerate(row):
+            grid[(r, t.shape.inner_at(r) + 1 + k)] = e
+    rows_weak = all(a <= b for row in t.rows for a, b in zip(row, row[1:]))
+    columns_strict = all(e < grid[(r + 1, c)] for (r, c), e in grid.items() if (r + 1, c) in grid)
+    return rows_weak and columns_strict
 
 
 class TestSkewShape:
@@ -107,6 +122,26 @@ class TestSemistandard:
         t = Tableau(SkewShape((3, 2), (1,)), ((1, 1), (1, 1)))
         assert not is_semistandard(t)
 
+    def test_every_small_filling_against_the_definition(self):
+        # straight shapes up to 5 cells, skew shapes in a 3x4 box, and shapes with a cell-free first row
+        shapes = {SkewShape(lam) for m in range(6) for lam in partitions_of(m)}
+        shapes |= set(canonical_box_skew_shapes(3, 4, 4))
+        shapes |= {SkewShape((2, 2, 1), (2, 1)), SkewShape((3, 3, 1), (3,))}
+        fillings = rejected = 0
+        for shape in shapes:
+            lengths = [last - first + 1 for first, last in map(shape.row_span, range(1, shape.n_rows + 1))]
+            for word in product(range(1, 5), repeat=shape.size):
+                rows, k = [], 0
+                for length in lengths:
+                    rows.append(word[k:k + length])
+                    k += length
+                t = Tableau(shape, tuple(rows))
+                expected = semistandard_by_definition(t)
+                assert is_semistandard(t) == expected, t.render()
+                fillings += 1
+                rejected += not expected
+        assert (fillings, rejected) == (16773, 13331)
+
     def test_content(self):
         assert content_of(Tableau(SkewShape((2, 1)), ((1, 3), (2,)))) == (1, 1, 1)
         assert content_of(Tableau(SkewShape((2,)), ((3, 3),))) == (0, 0, 2)
@@ -166,6 +201,12 @@ class TestEnumeration:
         ]
         with pytest.raises(ValueError):
             list(semistandard_words(shape, 4, (1, 2, 1)))
+
+    def test_words_reject_bad_multiplicities(self):
+        shape = SkewShape((2,))
+        for content in [(-1, 3), (True, 1), (1, 1.0)]:
+            with pytest.raises(ValueError):
+                list(semistandard_words(shape, 2, content))
 
     def test_word_content(self):
         assert word_content((1, 3, 3)) == (1, 0, 2)
