@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from concurrent.futures import BrokenExecutor
 from typing import Callable, Sequence
 
 from .engine import kostka_matrix, kostka_number
@@ -34,7 +35,8 @@ from .transfer_classes import count_in_class, signature_census
 from .verify import run_standard_suites
 
 Output = tuple[dict, list[str]]
-MAX_MATRIX_N = 24  # kostka_matrix time grows about 3.5x per +2 in n; n=20 took 18 s, 202 MB peak RSS on 2 CPUs
+# kostka_matrix time grows about 3x per +2 in n; on 2 CPUs n=20 took 11 s and 52 MB peak RSS, n=22 28-35 s and 108 MB
+MAX_MATRIX_N = 24
 # classes enumerates K(shape, mu) + K(shape, nu) fillings; two-row shapes are slowest per filling, and near
 # 2,000 fillings (10,10) took 5 s, (12,12) 23 s on 2 CPUs; dead ends of the enumerator are not bounded by it
 MAX_CLASSES_FILLINGS = 2000
@@ -206,7 +208,10 @@ def _verify(args: argparse.Namespace) -> Output:
     _check_size("--max-n", args.max_n, MAX_VERIFY_N)
     if args.parallelism < 1:
         raise CliError("--parallelism", "a positive integer is required")
-    reports = run_standard_suites(args.max_n, args.parallelism)
+    try:
+        reports = run_standard_suites(args.max_n, args.parallelism)
+    except BrokenExecutor:
+        raise CliError("--parallelism", "a worker process died; rerun with --parallelism 1") from None
     total_violations = sum(len(r.violations) for r in reports)
     status = "pass" if total_violations == 0 else "FAIL"
     lines = [report.to_text() for report in reports]

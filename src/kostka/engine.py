@@ -9,8 +9,10 @@ the order given, and reads the count off at outer. It is iterative, so long
 contents cannot exhaust the stack, and purely combinatorial on purpose: it must
 not shortcut through the dominance characterization it is later used to
 verify, and it never reorders the content, whose symmetry the
-permutation-invariance suite checks. Nothing is kept between calls unless the
-caller passes a strip memo.
+permutation-invariance suite checks. Each shape in the walk is packed into one
+int, a fixed number of bits per row, so a step adds to an int rather than
+rebuilding a tuple. Nothing is kept between calls unless the caller passes a
+strip memo, which is opaque: its keys hold packed shapes.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .partitions import (
 )
 from .tableaux import SkewShape
 
-# a strip memo: (shape, strip size, outer) -> the shapes that strip can reach
+# a strip memo: (packed shape, strip size, outer) -> the packed shapes that strip can reach
 Strips = MutableMapping[tuple, list]
 
 
@@ -41,29 +43,43 @@ def _as_shape(shape: SkewShape | Sequence[int]) -> SkewShape:
     return SkewShape(partition(shape))
 
 
-def _strips(shape: Parts, size: int, outer: Parts) -> list[Parts]:
+def _pack(parts: Parts, w: int) -> int:
+    """One int holding parts, row r in bits [r*w, (r+1)*w)."""
+    return sum(part << r * w for r, part in enumerate(parts))
+
+
+def _strips(shape: int, size: int, outer: Parts, w: int) -> list[int]:
     """Every shape within outer that adds a horizontal strip of size cells to shape.
 
-    shape has as many rows as outer. A strip holds at most one cell per column,
-    so row r may grow up to the old length of row r-1. The rows with room are
-    filled one after another, breadth first; each takes at least what the rows
-    below it cannot hold, so every partial strip completes and the last row
+    Shapes are packed w bits a row, and no row of outer is as long as 2**w. A
+    strip holds at most one cell per column, so row r may grow up to the old
+    length of row r-1; below the first empty row nothing can. The rows with room
+    are filled one after another, breadth first; each takes at least what the
+    rows below it cannot hold, so every partial strip completes and the last row
     with room takes whatever is left.
     """
+    mask = (1 << w) - 1
     rooms = []
     tail = 0
     above = outer[0]
-    for r, row in enumerate(shape):
-        cap = outer[r] if outer[r] < above else above
+    rest = shape
+    shift = 0
+    for bound in outer:
+        row = rest & mask
+        cap = bound if bound < above else above
         if cap > row:
-            rooms.append((r, cap - row))
+            rooms.append((shift, cap - row))
             tail += cap - row
+        if not row:
+            break
         above = row
+        rest >>= w
+        shift += w
     if size > tail:
         return []
     grown = [(shape, size)]
     last = rooms.pop()[0]
-    for r, room in rooms:
+    for shift, room in rooms:
         tail -= room
         partial = []
         for nu, left in grown:
@@ -73,46 +89,52 @@ def _strips(shape: Parts, size: int, outer: Parts) -> list[Parts]:
             else:
                 partial.append((nu, left))
                 low = 1
-            row = nu[r]
-            head, foot = nu[:r], nu[r + 1:]
             for d in range(low, high + 1):
-                partial.append((head + (row + d,) + foot, left - d))
+                partial.append((nu + (d << shift), left - d))
         grown = partial
-    return [nu[:last] + (nu[last] + left,) + nu[last + 1:] if left else nu for nu, left in grown]
+    return [nu + (left << last) for nu, left in grown]
 
 
 def _kostka(outer: Parts, inner: Parts, content: Parts, memo: Strips | None) -> int:
-    rows = len(outer)
-    frontier = {inner + (0,) * (rows - len(inner)): 1}
+    if not outer:
+        return 1
+    w = outer[0].bit_length()
+    mask = (1 << w) - 1
+    frontier = {_pack(inner, w): 1}
     for size in content:
         if not size:
             continue
-        grown: dict[Parts, int] = {}
+        grown: dict[int, int] = {}
         if size == 1 and memo is None:
             # one cell goes to any addable corner; standard contents take
             # thousands of these steps, so they skip the strip enumerator
             for shape, count in frontier.items():
                 above = outer[0]
-                for r, row in enumerate(shape):
-                    if row < above and row < outer[r]:
-                        nu = shape[:r] + (row + 1,) + shape[r + 1:]
+                rest = shape
+                cell = 1
+                for bound in outer:
+                    row = rest & mask
+                    if row < above and row < bound:
+                        nu = shape + cell
                         grown[nu] = grown.get(nu, 0) + count
                     if not row:
                         break
                     above = row
+                    rest >>= w
+                    cell <<= w
         else:
             for shape, count in frontier.items():
                 if memo is None:
-                    strips = _strips(shape, size, outer)
+                    strips = _strips(shape, size, outer, w)
                 else:
                     key = (shape, size, outer)
                     strips = memo.get(key)
                     if strips is None:
-                        strips = memo[key] = _strips(shape, size, outer)
+                        strips = memo[key] = _strips(shape, size, outer, w)
                 for nu in strips:
                     grown[nu] = grown.get(nu, 0) + count
         frontier = grown
-    return frontier.get(outer, 0)
+    return frontier.get(_pack(outer, w), 0)
 
 
 def kostka_number(
@@ -124,9 +146,9 @@ def kostka_number(
 
     shape may be a SkewShape or a bare partition (meaning a straight shape).
     content is a composition; trailing zeros are irrelevant and stripped. The
-    total must equal the cell count. cache, when given, is a strip memo: it
-    maps (shape, strip size, outer) to the shapes that strip can reach, so
-    calls that share outer shapes can share one mapping.
+    total must equal the cell count. cache, when given, is an opaque strip
+    memo that calls sharing outer shapes can share; its keys and values hold
+    packed shapes.
     """
     shape = _as_shape(shape)
     content = composition(content)

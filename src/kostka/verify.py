@@ -16,7 +16,6 @@ from __future__ import annotations
 import functools
 import time
 from collections import Counter, defaultdict
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import permutations, product
 from typing import Callable, Iterator
@@ -459,6 +458,9 @@ def run_standard_suites(max_n: int, parallelism: int = 1) -> list[Report]:
     calls = [(name, () if extra is None else (max_n, *extra)) for name, extra in STANDARD_SUITES]
     if parallelism <= 1:
         return [_run_suite(*call) for call in calls]
+    # imported here: a pool pulls in multiprocessing, which serial runs never need
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=min(parallelism, len(calls))) as pool:
         futures = [pool.submit(_run_suite, *call) for call in calls]
         return [f.result() for f in futures]

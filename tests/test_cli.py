@@ -1,11 +1,16 @@
 """The command-line frontend: output formats, exit codes, and error reporting."""
 
 import json
+import multiprocessing
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 from textwrap import dedent
 
+import kostka
 import kostka.cli
 import kostka.verify
 from kostka import Report, kostka_matrix
@@ -276,6 +281,23 @@ class TestVerify:
         assert code == 1
         assert "positivity-iff-dominance: checked=15 violations=4 FAIL" in out
         assert out.splitlines()[-1] == "total: suites=5 checked=109122 violations=4 FAIL"
+
+    def test_dead_worker_exits_2(self, capsys, monkeypatch):
+        def die(*args):
+            os._exit(1)
+
+        # fork workers inherit the rebinding, and _run_suite looks suites up by name
+        monkeypatch.setattr(kostka.verify, "verify_covers", die)
+        code, out, err = run(capsys, "verify", "--max-n", "2", "--parallelism", "2")
+        assert (code, out) == (2, "")
+        assert err == "error: --parallelism: a worker process died; rerun with --parallelism 1\n"
+        assert multiprocessing.active_children() == []
+
+    def test_import_leaves_process_pool_unloaded(self):
+        code = "import sys, kostka; print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))"
+        env = dict(os.environ, PYTHONPATH=str(Path(kostka.__file__).parents[1]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout == "[]\n"
 
     def test_failing_report_exit_1(self, capsys, monkeypatch):
         fake = [Report(name="demo", checked=1, violations=[{"x": 1}], elapsed=0.0)]

@@ -50,8 +50,10 @@ class TestKostkaNumber:
         assert kostka_number((2, 1), (1, 0, 1, 1)) == 2
 
     def test_empty_shape(self):
-        assert kostka_number((), ()) == 1
-        assert kostka_number(SkewShape((2, 1), (2, 1)), ()) == 1
+        for cache in (None, {}):
+            for content in ((), (0,), (0, 0)):
+                assert kostka_number((), content, cache=cache) == 1
+                assert kostka_number(SkewShape((2, 1), (2, 1)), content, cache=cache) == 1
 
     def test_size_mismatch(self):
         with pytest.raises(SizeMismatchError):
@@ -91,6 +93,56 @@ class TestLongContents:
         for cache in (None, {}):
             assert kostka_number((1,) * 1000, (1,) * 1000, cache=cache) == 1
             assert kostka_number((400,), (1,) * 400, cache=cache) == 1
+
+
+def _shared_and_fresh(shape, content, shared):
+    """kostka_number without a memo, with a fresh one and with shared, checked equal."""
+    plain = kostka_number(shape, content)
+    assert kostka_number(shape, content, cache={}) == plain
+    assert kostka_number(shape, content, cache=shared) == plain
+    return plain
+
+
+class TestPackedShapes:
+    """The walk packs each shape into one int, outer[0].bit_length() bits a row.
+
+    Every case runs without a memo, with a fresh one, and with one memo shared
+    by all outers of every width, against an independent count: enumeration up
+    to 8 cells, the two-row formula beyond.
+    """
+
+    def test_first_row_on_bit_boundaries(self):
+        shared = {}
+        for width in (1, 3, 4, 7, 8):
+            for m in range(width, 9):
+                for lam in partitions_of(m):
+                    if lam[0] != width:
+                        continue
+                    shape = SkewShape(lam)
+                    for mu in partitions_of(m):
+                        for content in (mu, mu[::-1] + (0,)):
+                            assert _shared_and_fresh(shape, content, shared) == len(enumerate_ssyt(shape, content))
+        rng = random.Random(20261018)
+        for width in (31, 32):
+            for k in (0, 1, 5, width // 2, width - 1, width):
+                n = width + k
+                for parts in (1, 2, 3, 7, n):
+                    cuts = sorted(rng.sample(range(1, n), parts - 1))
+                    content = [b - a for a, b in zip([0] + cuts, cuts + [n])]
+                    content.insert(rng.randint(0, parts), 0)
+                    expected = count_bounded_compositions(content, k) - count_bounded_compositions(content, k - 1)
+                    assert _shared_and_fresh((width, k), content, shared) == expected
+
+    @pytest.mark.parametrize(
+        "outer, inner",
+        [((3, 3, 1), (3,)), ((4, 2, 2), (4, 2)), ((7, 7), (7,)), ((8, 5, 2), (8,)), ((4, 4, 4), (4, 4))],
+    )
+    def test_skew_with_full_inner_row(self, outer, inner):
+        shape = SkewShape(outer, inner)
+        shared = {}
+        for mu in partitions_of(shape.size):
+            for content in (mu, (0,) + mu[::-1]):
+                assert _shared_and_fresh(shape, content, shared) == len(enumerate_ssyt(shape, content))
 
 
 class TestCaching:
