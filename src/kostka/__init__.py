@@ -37,7 +37,6 @@ from .tableaux import (
     Cell,
     SkewShape,
     Tableau,
-    content_of,
     enumerate_ssyt,
     is_semistandard,
     iter_semistandard,

@@ -5,7 +5,8 @@ error message names the offending flag). All output goes to the standard streams
 
 Each subcommand handler reads the parsed arguments and returns one payload dict,
 rendered as JSON, and the lines of its line-oriented format (text, or csv for
-matrix); main() alone prints one or the other.
+matrix); main() alone prints one or the other. matrix fills in only the one
+asked for and leaves the other empty.
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ from .transfer_classes import count_in_class, signature_census
 from .verify import run_standard_suites
 
 Output = tuple[dict, list[str]]
-# kostka_matrix time grows about 3x per +2 in n; on 2 CPUs n=20 took 11 s and 52 MB peak RSS, n=22 28-35 s and 108 MB
+# kostka_matrix time grows about 3x per +2 in n. On 2 CPUs n=20 took 11-14 s, with peak RSS 24 MB for csv,
+# 56 MB for text and 79 MB for json; n=22 took 42 s, with 117 MB for text and 176 MB for json
 MAX_MATRIX_N = 24
 # classes enumerates K(shape, mu) + K(shape, nu) fillings; two-row shapes are slowest per filling, and near
 # 2,000 fillings (10,10) took 5 s, (12,12) 23 s on 2 CPUs; dead ends of the enumerator are not bounded by it
@@ -103,10 +105,13 @@ def _matrix_text(labels: list[str], values: Sequence[Sequence[int]]) -> list[str
 def _matrix(args: argparse.Namespace) -> Output:
     _check_size("--n", args.n, MAX_MATRIX_N)
     matrix = kostka_matrix(args.n)
+    # the table of strings is most of a large matrix's memory, so each format builds only its own
+    if args.fmt == "json":
+        return matrix.to_json_dict(), []
     if args.fmt == "csv":
-        return matrix.to_json_dict(), matrix.to_csv().splitlines()
+        return {}, matrix.to_csv().splitlines()
     labels = [format_parts(p) for p in matrix.partitions]
-    return matrix.to_json_dict(), _matrix_text(labels, matrix.values)
+    return {}, _matrix_text(labels, matrix.values)
 
 
 def _move_json(move) -> dict:

@@ -1,7 +1,8 @@
 """Counting integer vectors with per-coordinate caps and a fixed total.
 
 count_bounded_compositions((x1, ..., xr), a) is the number of integer vectors y
-with 0 <= y_k <= x_k and sum(y) = a. Everything is exact bigint arithmetic.
+with 0 <= y_k <= x_k and sum(y) = a: the coefficient of t^a in the product of
+the polynomials 1 + t + ... + t^(x_k). Everything is exact bigint arithmetic.
 """
 
 from __future__ import annotations
@@ -14,21 +15,29 @@ from .partitions import composition
 def count_bounded_compositions(caps: Sequence[int], total: int) -> int:
     """Number of ways to write total as a sum of parts y_k with 0 <= y_k <= caps[k].
 
-    Dynamic programming over prefixes, one coordinate at a time; totals outside
-    [0, sum(caps)] count zero, including negative ones.
+    Reads the coefficient of t^total off the product of 1 + t + ... + t^cap
+    evaluated at t = 2**width (Kronecker substitution), one big-int product per
+    call. Every coefficient of every partial product is at most bound =
+    prod(cap + 1), which is below 2**width for width = bound.bit_length(), so no
+    digit carries into the next and the width-bit digit at total is exact. Caps
+    above total are cut to total, which leaves that coefficient unchanged and
+    keeps the product small. Totals outside [0, sum(caps)] count zero, including
+    negative ones.
     """
     caps = composition(caps)
     if total < 0 or total > sum(caps):
         return 0
-    row = [0] * (total + 1)
-    row[0] = 1
+    caps = [cap if cap < total else total for cap in caps]
+    bound = 1
     for cap in caps:
-        # new[s] = sum(row[s - d] for d in 0..cap), via prefix sums
-        prefix = [0] * (total + 2)
-        for s in range(total + 1):
-            prefix[s + 1] = prefix[s] + row[s]
-        row = [prefix[s + 1] - prefix[max(0, s - cap)] for s in range(total + 1)]
-    return row[total]
+        bound *= cap + 1
+    width = bound.bit_length()
+    digit = (1 << width) - 1
+    product = 1
+    for cap in caps:
+        # 1 + t + ... + t^cap at t = 2**width is (2**((cap + 1) * width) - 1) / (2**width - 1)
+        product *= ((1 << (cap + 1) * width) - 1) // digit
+    return (product >> total * width) & digit
 
 
 def split_by_first_part(caps: Sequence[int], total: int) -> tuple[int, int]:

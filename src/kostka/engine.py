@@ -45,7 +45,10 @@ def _as_shape(shape: SkewShape | Sequence[int]) -> SkewShape:
 
 def _pack(parts: Parts, w: int) -> int:
     """One int holding parts, row r in bits [r*w, (r+1)*w)."""
-    return sum(part << r * w for r, part in enumerate(parts))
+    packed = 0
+    for part in reversed(parts):
+        packed = packed << w | part
+    return packed
 
 
 def _strips(shape: int, size: int, outer: Parts, w: int) -> list[int]:
@@ -157,6 +160,14 @@ def kostka_number(
     return _kostka(shape.outer, shape.inner, content, cache)
 
 
+def _json_array(items: list[str], indent: int) -> str:
+    """A JSON array of encoded items, laid out as json.dumps(..., indent=2) lays one out indent spaces deep."""
+    if not items:
+        return "[]"
+    pad = "\n" + " " * (indent + 2)
+    return "[" + pad + ("," + pad).join(items) + "\n" + " " * indent + "]"
+
+
 @dataclass(frozen=True)
 class KostkaMatrix:
     """The full table K(lam, mu) over all partitions of n, reverse-lexicographic order."""
@@ -182,8 +193,15 @@ class KostkaMatrix:
         return buf.getvalue()
 
     def to_json(self) -> str:
-        """Counts serialize as decimal strings so arbitrary precision survives parsers."""
-        return json.dumps(self.to_json_dict(), indent=2)
+        """Counts serialize as decimal strings so arbitrary precision survives parsers.
+
+        The text is json.dumps(self.to_json_dict(), indent=2), built one row at
+        a time, so the table never exists as one string object per entry.
+        """
+        labels = _json_array([json.dumps(format_parts(p)) for p in self.partitions], 2)
+        # decimal digits need no escaping
+        rows = _json_array([_json_array([f'"{v}"' for v in row], 4) for row in self.values], 2)
+        return f'{{\n  "n": {json.dumps(self.n)},\n  "partitions": {labels},\n  "matrix": {rows}\n}}'
 
     def to_json_dict(self) -> dict:
         return {

@@ -44,13 +44,18 @@ def partition(parts: Iterable[int]) -> Parts:
 
 def composition(parts: Iterable[int]) -> Parts:
     """Canonicalize to a composition tuple: non-negative parts, trailing zeros dropped."""
-    out = list(parts)
-    for k, p in enumerate(out):
-        if isinstance(p, bool) or not isinstance(p, int) or p < 0:
-            raise ValueError(f"composition parts must be non-negative integers, got {p!r} at position {k + 1}")
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
+    out = parts if type(parts) is tuple else tuple(parts)
+    for p in out:
+        if type(p) is not int or p < 0:
+            # bools, int subclasses and non-integers take the exact check
+            for k, p in enumerate(out):
+                if isinstance(p, bool) or not isinstance(p, int) or p < 0:
+                    raise ValueError(f"composition parts must be non-negative integers, got {p!r} at position {k + 1}")
+            break
+    end = len(out)
+    while end and out[end - 1] == 0:
+        end -= 1
+    return out if end == len(out) else out[:end]
 
 
 def part_at(parts: Sequence[int], k: int) -> int:

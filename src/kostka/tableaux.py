@@ -52,10 +52,6 @@ class SkewShape:
     def size(self) -> int:
         return sum(self.outer) - sum(self.inner)
 
-    @property
-    def is_straight(self) -> bool:
-        return not self.inner
-
     def inner_at(self, r: int) -> int:
         return self.inner[r - 1] if r <= len(self.inner) else 0
 
@@ -71,13 +67,6 @@ class SkewShape:
             for c in range(first, last + 1):
                 out.append((r, c))
         return out
-
-    def __contains__(self, cell: Cell) -> bool:
-        r, c = cell
-        if not 1 <= r <= self.n_rows:
-            return False
-        first, last = self.row_span(r)
-        return first <= c <= last
 
 
 @dataclass(frozen=True)
@@ -99,11 +88,6 @@ class Tableau:
                 if isinstance(e, bool) or not isinstance(e, int) or e < 1:
                     raise ValueError(f"entries must be positive integers, got {e!r} in row {r}")
         object.__setattr__(self, "rows", rows)
-
-    def entry(self, r: int, c: int) -> int:
-        if (r, c) not in self.shape:
-            raise KeyError(f"cell ({r}, {c}) is not in the shape")
-        return self.rows[r - 1][c - self.shape.inner_at(r) - 1]
 
     def reading_word(self) -> tuple[int, ...]:
         """Entries row by row, top to bottom, left to right."""
@@ -143,11 +127,6 @@ def word_content(word: Sequence[int]) -> Parts:
     if not word:
         return ()
     return tuple(map(word.count, range(1, max(word) + 1)))
-
-
-def content_of(t: Tableau) -> Parts:
-    """Multiplicity vector of the entries, indexed 1..max entry; empty shape gives ()."""
-    return word_content(t.reading_word())
 
 
 def semistandard_words(

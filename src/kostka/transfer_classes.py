@@ -101,7 +101,7 @@ def masked_word(word: Sequence[int], index: int) -> tuple[int, ...]:
     the skeleton fixes the available cells and with them the paired columns and
     row counts.
     """
-    return tuple(0 if v == index or v == index + 1 else v for v in word)
+    return tuple([0 if v == index or v == index + 1 else v for v in word])
 
 
 def count_in_class(sig: ClassSignature, target: Sequence[int]) -> int:

@@ -32,7 +32,6 @@ from .partitions import (
     dominates,
     format_parts,
     full_transfer_chain,
-    part_at,
     partitions_of,
     transfer_target,
 )
@@ -82,9 +81,12 @@ def _suite(name: str) -> Callable[[Callable[..., Checks]], Callable[..., Report]
         def run(*args, **kwargs) -> Report:
             started = time.perf_counter()
             report = Report(name=name)
-            for violations in checks(*args, **kwargs):
-                report.checked += 1
-                report.violations.extend(violations)
+            checked = 0
+            for found in checks(*args, **kwargs):
+                checked += 1
+                if found:
+                    report.violations.extend(found)
+            report.checked = checked
             report.elapsed = time.perf_counter() - started
             return report
 
@@ -219,13 +221,13 @@ def verify_covers(max_n: int) -> Checks:
 
 
 def _brute_bounded_counts(caps: tuple[int, ...]) -> Counter:
-    """Histogram of sums over the raw product space; the oracle for the counting DP."""
+    """Histogram of sums over the raw product space; the oracle for count_bounded_compositions."""
     return Counter(sum(vec) for vec in product(*(range(c + 1) for c in caps)))
 
 
 @_suite("bounded-counts")
 def verify_bounded_counts(max_len: int = 4, max_entry: int = 4) -> Checks:
-    """Bounded-count DP vs brute force, plus symmetry, peak monotonicity, and the split.
+    """count_bounded_compositions vs brute force, plus symmetry, peak monotonicity, and the split.
 
     Runs every cap vector with up to max_len coordinates, each at most max_entry,
     and every total in [-1, m+1] where m is the cap sum. Monotonicity is the
@@ -312,8 +314,8 @@ def verify_adjacent_transfer(max_cells: int, include_skew: bool = False) -> Chec
             if len(mu) > m + 1:
                 continue
             mu_words = census[mu]
-            for i in range(1, len(mu) + 1):
-                if part_at(mu, i) <= part_at(mu, i + 1):
+            for i, (part, below) in enumerate(zip(mu, mu[1:] + (0,)), start=1):
+                if part <= below:
                     continue
                 nu = transfer_target(mu, i)
                 nu_words = census.get(nu, [])

@@ -1,4 +1,4 @@
-"""Bounded-composition counting: DP vs brute force, symmetry, monotonicity, split."""
+"""Bounded-composition counting: vs brute force and a prefix-sum DP, symmetry, monotonicity, split."""
 
 from itertools import product
 
@@ -13,6 +13,19 @@ caps_strategy = st.lists(st.integers(0, 5), max_size=4).map(tuple)
 
 def brute_count(caps, total):
     return sum(1 for vec in product(*(range(c + 1) for c in caps)) if sum(vec) == total)
+
+
+def prefix_sum_count(caps, total):
+    """The same count by dynamic programming over prefixes, one coordinate at a time."""
+    if total < 0 or total > sum(caps):
+        return 0
+    row = [1] + [0] * total
+    for cap in caps:
+        prefix = [0]
+        for count in row:
+            prefix.append(prefix[-1] + count)
+        row = [prefix[s + 1] - prefix[max(0, s - cap)] for s in range(total + 1)]
+    return row[total]
 
 
 class TestCount:
@@ -48,6 +61,21 @@ class TestCount:
         for c in caps:
             normalization *= c + 1
         assert sum(counts) == normalization
+
+    @pytest.mark.parametrize(
+        "caps",
+        [(1,), (1, 1, 1), (3, 1), (7,), (9,) * 12, (4, 9, 0, 7, 1, 9, 3, 2, 8, 5, 6, 9), (400, 300, 5), (1000, 2)],
+        ids=["1", "1^3", "3,1", "7", "9^12", "12-mixed", "400,300,5", "1000,2"],
+    )
+    def test_matches_prefix_sum_dp(self, caps):
+        # the first four have a power of two as prod(cap + 1), the product's coefficient bound
+        for total in range(-1, sum(caps) + 2):
+            assert count_bounded_compositions(caps, total) == prefix_sum_count(caps, total)
+
+    def test_caps_far_above_the_total(self):
+        # y3 in 0..2 and y1 + y2 = 4 - y3: 5 + 4 + 3 vectors
+        assert count_bounded_compositions((10**9, 10**9, 2), 4) == 12
+        assert count_bounded_compositions((10**9,), 10**9 + 1) == 0
 
     def test_big_values_are_exact(self):
         # 20 coordinates capped at 9, middle total: way past 64-bit float precision territory

@@ -215,3 +215,9 @@ class TestKostkaMatrix:
         assert len(data["partitions"]) == 7
         values = tuple(tuple(int(v) for v in row) for row in data["matrix"])
         assert values == m.values
+
+    def test_json_text_is_the_dict_dumped(self):
+        # to_json renders row by row; its bytes must stay those of the dict dumped whole
+        for n in range(11):
+            m = kostka_matrix(n)
+            assert m.to_json() == json.dumps(m.to_json_dict(), indent=2)

@@ -1,5 +1,8 @@
 """Partitions, compositions, dominance, covers, and chains."""
 
+import re
+from enum import IntEnum
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -54,6 +57,21 @@ class TestConstructors:
         assert composition([]) == ()
         with pytest.raises(ValueError):
             composition([1, -1])
+
+    @pytest.mark.parametrize("bad", [True, -1, 1.0])
+    def test_composition_names_the_bad_part(self, bad):
+        # plain ints take a fast path; anything else must still meet the exact check
+        message = f"composition parts must be non-negative integers, got {bad!r} at position 3"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            composition((2, 0, bad, 1))
+
+    def test_composition_accepts_int_subclasses(self):
+        class Part(IntEnum):
+            ZERO = 0
+            TWO = 2
+
+        assert composition([Part.TWO, 1, Part.ZERO]) == (2, 1)
+        assert type(composition([Part.TWO])[0]) is Part
 
     # bool is a subclass of int, but True is not a part
     @pytest.mark.parametrize(
