@@ -36,8 +36,8 @@ from .transfer_classes import count_in_class, signature_census
 from .verify import run_standard_suites
 
 Output = tuple[dict, list[str]]
-# kostka_matrix time grows about 3x per +2 in n. On 2 CPUs n=20 took 11-14 s, with peak RSS 24 MB for csv,
-# 56 MB for text and 79 MB for json; n=22 took 42 s, with 117 MB for text and 176 MB for json
+# kostka_matrix time grows about 3x per +2 in n. On 2 CPUs n=20 took 12-14 s, with peak RSS 24 MB for csv,
+# 55 MB for text and 40 MB for json; n=22 took 38-44 s, with 38 MB for csv, 117 MB for text and 67 MB for json
 MAX_MATRIX_N = 24
 # classes enumerates K(shape, mu) + K(shape, nu) fillings; two-row shapes are slowest per filling, and near
 # 2,000 fillings (10,10) took 5 s, (12,12) 23 s on 2 CPUs; dead ends of the enumerator are not bounded by it
@@ -105,9 +105,9 @@ def _matrix_text(labels: list[str], values: Sequence[Sequence[int]]) -> list[str
 def _matrix(args: argparse.Namespace) -> Output:
     _check_size("--n", args.n, MAX_MATRIX_N)
     matrix = kostka_matrix(args.n)
-    # the table of strings is most of a large matrix's memory, so each format builds only its own
+    # the table of strings is most of a large matrix's memory, so each format renders straight to text
     if args.fmt == "json":
-        return matrix.to_json_dict(), []
+        return {}, [matrix.to_json()]
     if args.fmt == "csv":
         return {}, matrix.to_csv().splitlines()
     labels = [format_parts(p) for p in matrix.partitions]
@@ -287,11 +287,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except CliError as e:
         print(f"error: {e.flag}: {e.message}", file=sys.stderr)
         return 2
-    if args.fmt == "json":
-        print(json.dumps(payload, indent=2))
-    else:
-        for line in lines:
-            print(line)
+    # matrix renders its own JSON into lines and leaves the payload empty
+    if args.fmt == "json" and payload:
+        lines = [json.dumps(payload, indent=2)]
+    for line in lines:
+        print(line)
     # only verify reports violations; any found means exit 1
     return 1 if payload.get("violations") else 0
 

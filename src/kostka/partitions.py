@@ -42,16 +42,21 @@ def partition(parts: Iterable[int]) -> Parts:
     return tuple(out)
 
 
+def _reject_bad_part(parts: Sequence) -> None:
+    """Raise ValueError naming the first part that is not a non-negative integer; bools are not parts."""
+    for k, p in enumerate(parts):
+        if isinstance(p, bool) or not isinstance(p, int) or p < 0:
+            raise ValueError(f"composition parts must be non-negative integers, got {p!r} at position {k + 1}")
+
+
 def composition(parts: Iterable[int]) -> Parts:
     """Canonicalize to a composition tuple: non-negative parts, trailing zeros dropped."""
     out = parts if type(parts) is tuple else tuple(parts)
     for p in out:
+        # plain ints pass here; bools, negatives and non-integers raise in the exact check,
+        # which accepts int subclasses such as IntEnum
         if type(p) is not int or p < 0:
-            # bools, int subclasses and non-integers take the exact check
-            for k, p in enumerate(out):
-                if isinstance(p, bool) or not isinstance(p, int) or p < 0:
-                    raise ValueError(f"composition parts must be non-negative integers, got {p!r} at position {k + 1}")
-            break
+            _reject_bad_part(out)
     end = len(out)
     while end and out[end - 1] == 0:
         end -= 1
