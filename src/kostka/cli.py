@@ -36,13 +36,14 @@ from .transfer_classes import count_in_class, signature_census
 from .verify import run_standard_suites
 
 Output = tuple[dict, list[str]]
-# kostka_matrix time grows about 3x per +2 in n. On 2 CPUs n=20 took 12-14 s, with peak RSS 24 MB for csv,
-# 55 MB for text and 40 MB for json; n=22 took 38-44 s, with 38 MB for csv, 117 MB for text and 67 MB for json
+# kostka_matrix time grows about 3x per +2 in n. On 2 CPUs n=20 took 10-14 s, with peak RSS 24 MB for csv,
+# 28 MB for text and 40 MB for json; n=22 took 34-44 s, with 38 MB for csv, 48 MB for text and 67 MB for json
 MAX_MATRIX_N = 24
 # classes enumerates K(shape, mu) + K(shape, nu) fillings; two-row shapes are slowest per filling, and near
 # 2,000 fillings (10,10) took 5 s, (12,12) 23 s on 2 CPUs; dead ends of the enumerator are not bounded by it
 MAX_CLASSES_FILLINGS = 2000
-MAX_VERIFY_N = 8  # verify time grows about 6x per +1 in max_n; max_n=7 took 6 s, max_n=8 37 s, 92 MB peak RSS on 2 CPUs
+# verify time grows about 7x per +1 in max_n; on 2 CPUs max_n=7 took 2.2-2.7 s, max_n=8 16-18 s and 63 MB peak RSS
+MAX_VERIFY_N = 8
 
 
 class CliError(Exception):
@@ -95,11 +96,14 @@ def _compute(args: argparse.Namespace) -> Output:
 
 
 def _matrix_text(labels: list[str], values: Sequence[Sequence[int]]) -> list[str]:
-    rows = [[""] + labels]
-    for label, row in zip(labels, values):
-        rows.append([label] + [str(v) for v in row])
-    widths = [max(len(row[c]) for row in rows) for c in range(len(rows[0]))]
-    return ["  ".join(cell.rjust(widths[c]) for c, cell in enumerate(row)).rstrip() for row in rows]
+    # entries are non-negative, so a column's longest number is its largest
+    widths = [max(map(len, labels), default=0)]
+    widths += [max(len(label), len(str(max(column)))) for label, column in zip(labels, zip(*values))]
+
+    def line(cells: list[str]) -> str:
+        return "  ".join(map(str.rjust, cells, widths)).rstrip()
+
+    return [line(["", *labels])] + [line([label, *map(str, row)]) for label, row in zip(labels, values)]
 
 
 def _matrix(args: argparse.Namespace) -> Output:

@@ -244,16 +244,13 @@ def transfer_target(mu: Sequence[int], index: int) -> Parts:
     mu = composition(mu)
     if index < 1:
         raise ValueError(f"index must be at least 1, got {index}")
-    if part_at(mu, index) <= part_at(mu, index + 1):
-        raise ValueError(
-            f"transfer needs part {index} to exceed part {index + 1}, "
-            f"got {part_at(mu, index)} and {part_at(mu, index + 1)}"
-        )
-    moved = list(mu) + [0] * max(0, index + 1 - len(mu))
-    moved[index - 1] -= 1
-    moved[index] += 1
-    # the last part is positive: it is mu's last part or the one just moved
-    return tuple(moved)
+    n = len(mu)
+    source = mu[index - 1] if index <= n else 0
+    target = mu[index] if index < n else 0
+    if source <= target:
+        raise ValueError(f"transfer needs part {index} to exceed part {index + 1}, got {source} and {target}")
+    # source > 0 puts index within mu; the last part stays positive, being mu's last part or the one just moved
+    return mu[: index - 1] + (source - 1, target + 1) + mu[index + 1 :]
 
 
 def adjacent_transfer_index(before: Sequence[int], after: Sequence[int]) -> int | None:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 from .counting import count_bounded_compositions
@@ -93,15 +94,25 @@ def signature_of(t: Tableau, index: int) -> ClassSignature:
     )
 
 
-def masked_word(word: Sequence[int], index: int) -> tuple[int, ...]:
+def masked_word(word: Sequence[int], index: int) -> tuple[int, ...] | bytes:
     """A reading word with every index and index+1 replaced by 0: the key of its class.
 
     Two semistandard fillings of one shape have equal signatures exactly when their
     masked words are equal: the masked word is the skeleton read cell by cell, and
     the skeleton fixes the available cells and with them the paired columns and
-    row counts.
+    row counts. A bytes word is masked by one translate and stays bytes; any other
+    word, such as a tuple with entries above 255, gives a tuple.
     """
+    if type(word) is bytes:
+        return word.translate(_mask_table(index))
     return tuple([0 if v == index or v == index + 1 else v for v in word])
+
+
+# one 256-byte table per index; an index above 255 masks nothing in a bytes word, so 256 entries suffice
+@lru_cache(maxsize=256)
+def _mask_table(index: int) -> bytes:
+    """The translate table of masked_word for bytes words: every byte value, masked."""
+    return bytes(masked_word(range(256), index))
 
 
 def count_in_class(sig: ClassSignature, target: Sequence[int]) -> int:

@@ -18,7 +18,7 @@ import time
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from itertools import permutations, product
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 from .counting import count_bounded_compositions, split_by_first_part
 from .engine import kostka_number
@@ -263,12 +263,16 @@ def verify_bounded_counts(max_len: int = 4, max_entry: int = 4) -> Checks:
             yield [] if total == normalization else [{"caps": caps, "kind": "normalization"}]
 
 
-def content_census(shape: SkewShape, max_entry: int) -> dict[Parts, list[tuple[int, ...]]]:
-    """The reading word of every semistandard filling with entries up to max_entry, grouped by content."""
+def content_census(shape: SkewShape, max_entry: int) -> dict[Parts, list[Sequence[int]]]:
+    """The reading word of every semistandard filling with entries up to max_entry, grouped by content.
+
+    Each word is bytes, one entry per byte; with max_entry above 255 the words stay tuples.
+    """
+    pack = bytes if max_entry <= 255 else tuple
     # the words of one content sort to one tuple, which is cheaper to key by
-    by_entries: dict[tuple[int, ...], list[tuple[int, ...]]] = defaultdict(list)
+    by_entries: dict[tuple[int, ...], list[Sequence[int]]] = defaultdict(list)
     for word in semistandard_words(shape, max_entry):
-        by_entries[tuple(sorted(word))].append(word)
+        by_entries[tuple(sorted(word))].append(pack(word))
     return {word_content(entries): words for entries, words in by_entries.items()}
 
 
@@ -330,13 +334,21 @@ def verify_adjacent_transfer(max_cells: int, include_skew: bool = False) -> Chec
                             "count_nu": len(nu_words),
                         }
                     )
-                mu_classes = Counter(masked_word(w, i) for w in mu_words)
-                nu_classes = Counter(masked_word(w, i) for w in nu_words)
+                # per class, how many more fillings mu has than nu; only mu's classes can fall short
+                excess: dict = {}
+                for word in mu_words:
+                    key = masked_word(word, i)
+                    excess[key] = excess.get(key, 0) + 1
+                for word in nu_words:
+                    key = masked_word(word, i)
+                    if key in excess:
+                        excess[key] -= 1
                 short = []
-                for key, count in mu_classes.items():
-                    if count > nu_classes[key]:
+                for key, more in excess.items():
+                    if more > 0:
                         skeleton = tuple((cell, e) for cell, e in zip(cells, key) if e)
-                        short.append((skeleton, count, nu_classes[key]))
+                        count_mu = sum(masked_word(word, i) == key for word in mu_words)
+                        short.append((skeleton, count_mu, count_mu - more))
                 for skeleton, count_mu, count_nu in sorted(short):
                     found.append(
                         {

@@ -65,6 +65,24 @@ class TestMatrix:
             "1,1,1,1  0    0    0      0        1\n"
         )
 
+    def test_text_matches_table_layout(self, capsys):
+        # the layout of a full table of cell strings, each column as wide as its widest cell
+        def table_layout(labels, values):
+            rows = [[""] + labels]
+            for label, row in zip(labels, values):
+                rows.append([label] + [str(v) for v in row])
+            widths = [max(len(row[c]) for row in rows) for c in range(len(rows[0]))]
+            return ["  ".join(cell.rjust(widths[c]) for c, cell in enumerate(row)).rstrip() for row in rows]
+
+        for n in range(11):
+            matrix = kostka_matrix(n)
+            labels = [kostka.format_parts(p) for p in matrix.partitions]
+            expected = "".join(line + "\n" for line in table_layout(labels, matrix.values))
+            assert run(capsys, "matrix", "--n", str(n)) == (0, expected, "")
+        # up to n = 10 every label is wider than its column's numbers, so these tables set widths by numbers
+        for labels, values in [([], []), (["2", "1,1"], [[1, 123456], [0, 1]]), (["9"], [[10**30]])]:
+            assert kostka.cli._matrix_text(labels, values) == table_layout(labels, values)
+
     def test_csv_n3(self, capsys):
         code, out, _ = run(capsys, "matrix", "--n", "3", "--format", "csv")
         assert code == 0

@@ -117,21 +117,41 @@ class TestMaskedWord:
         assert masked_word((1, 2, 3, 2), 2) == (1, 0, 0, 0)
         assert masked_word((1, 1, 4), 1) == (0, 0, 4)
         assert masked_word((), 3) == ()
+        assert masked_word(bytes((1, 2, 3, 2)), 2) == bytes((1, 0, 0, 0))
+        assert masked_word(bytes((1, 1, 4)), 1) == bytes((0, 0, 4))
+        assert masked_word(b"", 3) == b""
+        # index 255 pairs with 256, which no byte holds; indices beyond never match
+        assert masked_word(bytes((254, 255, 1)), 255) == bytes((254, 0, 1))
+        assert masked_word(bytes((254, 255, 1)), 254) == bytes((0, 0, 1))
+        assert masked_word(bytes((254, 255, 1)), 300) == bytes((254, 255, 1))
+
+    def test_entries_above_255(self):
+        assert masked_word((1, 255, 256, 300), 255) == (1, 0, 0, 300)
+        assert masked_word((1, 255, 256, 300), 300) == (1, 255, 256, 0)
+        t = Tableau(SkewShape((3, 1)), ((1, 256, 300), (257,)))
+        sig = signature_of(t, 256)
+        assert sig.skeleton == (((1, 1), 1), ((1, 3), 300))
+        assert sig.available == ((1, 2), (2, 1))
+        assert (sig.paired_columns, sig.row_counts) == (0, (1, 1))
 
     def test_same_partition_as_signatures(self):
         # every filling with entries up to m+1 of every straight shape with up to 6
-        # cells and of every canonical skew shape in a 3 x 4 box with up to 4 cells
+        # cells and of every canonical skew shape in a 3 x 4 box with up to 4 cells,
+        # keyed by its tuple word and by its bytes word
         shapes = [SkewShape(lam) for m in range(7) for lam in partitions_of(m)]
         shapes += canonical_box_skew_shapes(3, 4, 4)
         for shape in shapes:
             tableaux = list(iter_semistandard(shape, shape.size + 1))
             for index in range(1, 5):
-                by_key = defaultdict(set)
                 by_signature = defaultdict(set)
                 for t in tableaux:
-                    by_key[masked_word(t.reading_word(), index)].add(t.rows)
                     by_signature[signature_of(t, index)].add(t.rows)
-                assert sorted(map(sorted, by_key.values())) == sorted(map(sorted, by_signature.values()))
+                expected = sorted(map(sorted, by_signature.values()))
+                for pack in (tuple, bytes):
+                    by_key = defaultdict(set)
+                    for t in tableaux:
+                        by_key[masked_word(pack(t.reading_word()), index)].add(t.rows)
+                    assert sorted(map(sorted, by_key.values())) == expected
 
 
 def masked(content, index, width):

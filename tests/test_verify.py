@@ -157,6 +157,25 @@ class TestFaultInjection:
              "skeleton": (((1, 3), 3),), "count_mu": 1, "count_nu": 0},
         ]
 
+    def test_adjacent_transfer_class_excess_above_one(self, monkeypatch):
+        # the census triples the only filling 1 2 of (2,) with content (1,1); its one
+        # class for the pair 2, 3 also holds the filling 1 3 of (1,0,1), so mu leads by 2
+        real = kostka.verify.content_census
+
+        def census(shape, max_entry):
+            found = real(shape, max_entry)
+            if shape == SkewShape((2,)):
+                found[(1, 1)] = found[(1, 1)] * 3
+            return found
+
+        monkeypatch.setattr(kostka.verify, "content_census", census)
+        report = verify_adjacent_transfer(2)
+        assert report.violations == [
+            {"shape": "2", "mu": "1,1", "index": 2, "count_mu": 3, "count_nu": 1},
+            {"shape": "2", "mu": "1,1", "index": 2, "kind": "class",
+             "skeleton": (((1, 1), 1),), "count_mu": 3, "count_nu": 1},
+        ]
+
     def test_covers_fault_is_caught(self, monkeypatch):
         monkeypatch.setattr(kostka.verify, "covers", lambda mu: [] if mu == (3, 1) else covers(mu))
         report = verify_covers(4)
@@ -225,9 +244,14 @@ class TestContentCensus:
 
     def test_keys_are_observed_contents(self):
         census = content_census(SkewShape((2, 1)), 3)
-        assert census[(1, 1, 1)] == [(1, 2, 3), (1, 3, 2)]  # reading words, lexicographic
+        assert census[(1, 1, 1)] == [bytes((1, 2, 3)), bytes((1, 3, 2))]  # reading words, lexicographic
         assert (2, 1) in census and (1, 2) in census
         assert (3,) not in census  # three equal entries cannot fill (2, 1)
+
+    def test_entries_above_255_stay_tuples(self):
+        census = content_census(SkewShape((1,)), 300)
+        assert census[(0,) * 299 + (1,)] == [(300,)]
+        assert census[(1,)] == [(1,)]
 
 
 class TestReporting:
