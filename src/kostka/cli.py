@@ -22,7 +22,6 @@ from .partitions import (
     NotComparableError,
     Parts,
     SizeMismatchError,
-    composition,
     cover_chain,
     covers,
     display_parts,
@@ -80,11 +79,8 @@ def _parse_shape(args: argparse.Namespace) -> SkewShape:
 
 def _compute(args: argparse.Namespace) -> Output:
     shape = _parse_shape(args)
-    content = _parse("--content", args.content, composition)
-    try:
-        value = kostka_number(shape, content)
-    except SizeMismatchError as e:
-        raise CliError("--content", str(e)) from None
+    content = _parse("--content", args.content, shape.check_content)
+    value = kostka_number(shape, content)
     payload = {
         "command": "compute",
         "shape": format_parts(shape.outer),
@@ -157,9 +153,7 @@ def _chain(args: argparse.Namespace) -> Output:
 
 def _classes(args: argparse.Namespace) -> Output:
     shape = _parse_shape(args)
-    mu = _parse("--mu", args.mu, composition)
-    if sum(mu) != shape.size:
-        raise CliError("--mu", f"content total {sum(mu)} does not fill {shape.size} cells")
+    mu = _parse("--mu", args.mu, shape.check_content)
     index = args.index
     if index < 1:
         raise CliError("--index", "a positive integer is required")

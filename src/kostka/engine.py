@@ -23,24 +23,11 @@ import json
 from dataclasses import dataclass, field
 from typing import MutableMapping, Sequence
 
-from .partitions import (
-    Parts,
-    SizeMismatchError,
-    composition,
-    format_parts,
-    partition,
-    partitions_of,
-)
+from .partitions import Parts, format_parts, partition, partitions_of
 from .tableaux import SkewShape
 
 # a strip memo: (packed shape, strip size, outer) -> the packed shapes that strip can reach
 Strips = MutableMapping[tuple, list]
-
-
-def _as_shape(shape: SkewShape | Sequence[int]) -> SkewShape:
-    if isinstance(shape, SkewShape):
-        return shape
-    return SkewShape(partition(shape))
 
 
 def _pack(parts: Parts, w: int) -> int:
@@ -153,11 +140,9 @@ def kostka_number(
     memo that calls sharing outer shapes can share; its keys and values hold
     packed shapes.
     """
-    shape = _as_shape(shape)
-    content = composition(content)
-    if sum(content) != shape.size:
-        raise SizeMismatchError(f"content total {sum(content)} does not fill {shape.size} cells")
-    return _kostka(shape.outer, shape.inner, content, cache)
+    if not isinstance(shape, SkewShape):
+        shape = SkewShape(shape)
+    return _kostka(shape.outer, shape.inner, shape.check_content(content), cache)
 
 
 def _json_array(items: list[str], indent: int) -> str:

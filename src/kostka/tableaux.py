@@ -52,6 +52,17 @@ class SkewShape:
     def size(self) -> int:
         return sum(self.outer) - sum(self.inner)
 
+    def check_content(self, content: Sequence[int]) -> Parts:
+        """content as a composition, provided its total fills the cells.
+
+        Raises ValueError for a negative or non-integer multiplicity, and
+        SizeMismatchError when the total differs from the cell count.
+        """
+        content = composition(content)
+        if sum(content) != self.size:
+            raise SizeMismatchError(f"content total {sum(content)} does not fill {self.size} cells")
+        return content
+
     def inner_at(self, r: int) -> int:
         return self.inner[r - 1] if r <= len(self.inner) else 0
 
@@ -92,14 +103,6 @@ class Tableau:
     def reading_word(self) -> tuple[int, ...]:
         """Entries row by row, top to bottom, left to right."""
         return tuple(chain.from_iterable(self.rows))
-
-    def render(self) -> str:
-        """One line per row, entries space-separated, cells of the inner shape as dots."""
-        lines = []
-        for r in range(1, self.shape.n_rows + 1):
-            tokens = ["."] * self.shape.inner_at(r) + [str(e) for e in self.rows[r - 1]]
-            lines.append(" ".join(tokens))
-        return "\n".join(lines)
 
 
 def _neighbours(shape: SkewShape) -> tuple[list[Cell], list[int], list[int]]:
@@ -190,10 +193,7 @@ def enumerate_ssyt(shape: SkewShape, content: Sequence[int]) -> list[Tableau]:
     are allowed. The total must equal the number of cells. Output is sorted
     lexicographically by reading word.
     """
-    content = tuple(content)
-    # composition rejects negative or non-integer multiplicities
-    if sum(composition(content)) != shape.size:
-        raise SizeMismatchError(f"content total {sum(content)} does not fill {shape.size} cells")
+    content = shape.check_content(content)
     return list(_tableaux(shape, semistandard_words(shape, len(content), content)))
 
 

@@ -11,15 +11,14 @@ inequality provable class by class.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
 from .counting import count_bounded_compositions
-# transfer_target lives in partitions and stays importable from here
-from .partitions import SizeMismatchError, composition, part_at, transfer_target  # noqa: F401
-from .tableaux import Cell, SkewShape, Tableau, is_semistandard
+from .partitions import composition, part_at
+from .tableaux import Cell, SkewShape, Tableau, is_semistandard, word_content
 
 
 @dataclass(frozen=True)
@@ -122,17 +121,11 @@ def count_in_class(sig: ClassSignature, target: Sequence[int]) -> int:
     pair; otherwise the paired columns fix one i and one i+1 each, and the free
     choice is how many i's go into each row's singleton run.
     """
-    target = composition(target)
-    if sum(target) != sig.shape.size:
-        raise SizeMismatchError(f"content total {sum(target)} does not fill {sig.shape.size} cells")
+    target = sig.shape.check_content(target)
     i = sig.index
-    skeleton_counts = Counter(e for _, e in sig.skeleton)
-    values = set(skeleton_counts) | set(range(1, len(target) + 1))
-    for v in values:
-        if v in (i, i + 1):
-            continue
-        if skeleton_counts.get(v, 0) != part_at(target, v):
-            return 0
+    away = composition([0 if v == i or v == i + 1 else p for v, p in enumerate(target, 1)])
+    if word_content([e for _, e in sig.skeleton]) != away:
+        return 0
     free_i = part_at(target, i) - sig.paired_columns
     # with matching skeletons the half-sum form of the same quantity is an identity
     assert 2 * free_i == part_at(target, i) - part_at(target, i + 1) + sum(sig.row_counts)

@@ -9,13 +9,17 @@ from kostka import (
     SkewShape,
     Tableau,
     canonical_box_skew_shapes,
+    count_in_class,
     enumerate_ssyt,
     is_semistandard,
     iter_semistandard,
+    kostka_number,
     partitions_of,
     semistandard_words,
+    signature_of,
     word_content,
 )
+from kostka.cli import main
 
 
 def semistandard_by_definition(t: Tableau) -> bool:
@@ -77,10 +81,6 @@ class TestTableau:
         t = Tableau(SkewShape((2, 1)), ((1, 2), (2,)))
         assert t.reading_word() == (1, 2, 2)
 
-    def test_render_marks_gaps_with_dots(self):
-        t = Tableau(SkewShape((3, 2), (1,)), ((1, 2), (1, 3)))
-        assert t.render() == ". 1 2\n1 3"
-
     def test_row_length_validation(self):
         with pytest.raises(ValueError):
             Tableau(SkewShape((2, 1)), ((1,), (2,)))
@@ -128,7 +128,7 @@ class TestSemistandard:
                     k += length
                 t = Tableau(shape, tuple(rows))
                 expected = semistandard_by_definition(t)
-                assert is_semistandard(t) == expected, t.render()
+                assert is_semistandard(t) == expected, t.rows
                 fillings += 1
                 rejected += not expected
         assert (fillings, rejected) == (16773, 13331)
@@ -137,6 +137,40 @@ class TestSemistandard:
         assert word_content(Tableau(SkewShape((2, 1)), ((1, 3), (2,))).reading_word()) == (1, 1, 1)
         assert word_content(Tableau(SkewShape((2,)), ((3, 3),)).reading_word()) == (0, 0, 2)
         assert word_content(Tableau(SkewShape(()), ()).reading_word()) == ()
+
+
+SHAPE_21 = SkewShape((2, 1))
+OVERFILL = "content total 4 does not fill 3 cells"
+
+
+class TestCheckContent:
+    def test_returns_the_composition(self):
+        assert SHAPE_21.check_content([2, 1, 0]) == (2, 1)
+        assert SkewShape((3, 2), (1,)).check_content((2, 0, 2)) == (2, 0, 2)
+        with pytest.raises(ValueError, match="non-negative"):
+            SkewShape((2,)).check_content((3, -1))
+
+    # every entry point handed a content of total 4 for the 3 cells of (2, 1); the CLI names the flag
+    @pytest.mark.parametrize(
+        "call, flag",
+        [
+            (lambda: kostka_number(SHAPE_21, (2, 2)), None),
+            (lambda: kostka_number((2, 1), (4,)), None),
+            (lambda: enumerate_ssyt(SHAPE_21, (1, 1, 2)), None),
+            (lambda: count_in_class(signature_of(Tableau(SHAPE_21, ((1, 1), (2,))), 1), (2, 2)), None),
+            (lambda: main(["compute", "--shape", "2,1", "--content", "2,2"]), "--content"),
+            (lambda: main(["classes", "--shape", "2,1", "--mu", "2,2", "--index", "1"]), "--mu"),
+        ],
+        ids=["kostka_number", "kostka_number_partition", "enumerate_ssyt", "count_in_class", "compute", "classes"],
+    )
+    def test_one_message_from_every_entry_point(self, call, flag, capsys):
+        if flag is None:
+            with pytest.raises(SizeMismatchError) as e:
+                call()
+            assert str(e.value) == OVERFILL
+        else:
+            assert call() == 2
+            assert capsys.readouterr().err == f"error: {flag}: {OVERFILL}\n"
 
 
 class TestEnumeration:

@@ -1,0 +1,41 @@
+"""The names the benchmark tracer wraps must stay in the package.
+
+perfbench/tracer.py skips a name it cannot find, and the metrics of that name
+then go missing from a traced run. These checks fail first instead.
+"""
+
+import importlib
+import importlib.util
+import inspect
+from pathlib import Path
+
+import kostka
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def load_tracer():
+    # tracer.py imports only the standard library, so it loads without the rest of perfbench
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_names_resolve():
+    tracer = load_tracer()
+    for layer, names in tracer.LAYERS.items():
+        home = importlib.import_module(f"kostka.{layer}")
+        for name in names:
+            owner = home
+            for attr in name.split("."):
+                assert hasattr(owner, attr), f"kostka.{layer}.{name} is gone"
+                owner = getattr(owner, attr)
+    suites = importlib.import_module("kostka.verify")
+    for name in tracer.SUITES:
+        assert callable(getattr(suites, name, None)), f"kostka.verify.{name} is gone"
+
+
+def test_traced_parameters_remain():
+    assert "cache" in inspect.signature(kostka.kostka_number).parameters
+    assert "parallelism" in inspect.signature(kostka.run_standard_suites).parameters
