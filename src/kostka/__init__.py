@@ -16,7 +16,6 @@ from .partitions import (
     NotComparableError,
     Parts,
     SizeMismatchError,
-    adjacent_transfer_chain,
     adjacent_transfer_index,
     apply_move,
     composition,

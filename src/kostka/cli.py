@@ -164,11 +164,11 @@ def _classes(args: argparse.Namespace) -> Output:
     fillings = kostka_number(shape, mu) + kostka_number(shape, nu)
     if fillings > MAX_CLASSES_FILLINGS:
         raise CliError("--mu", f"at most {MAX_CLASSES_FILLINGS} fillings of mu and nu are supported, got {fillings}")
-    mu_classes = signature_census(shape, enumerate_ssyt(shape, mu), index)
-    nu_classes = signature_census(shape, enumerate_ssyt(shape, nu), index)
-    signatures = sorted(set(mu_classes) | set(nu_classes), key=lambda s: (s.skeleton, s.available))
-    mu_total = sum(mu_classes.values())
-    nu_total = sum(nu_classes.values())
+    mu_fillings = enumerate_ssyt(shape, mu)
+    nu_fillings = enumerate_ssyt(shape, nu)
+    # within one shape the skeleton fixes the rest of the signature, so it orders the classes alone
+    signatures = sorted(signature_census(shape, mu_fillings + nu_fillings, index), key=lambda s: s.skeleton)
+    mu_total, nu_total = len(mu_fillings), len(nu_fillings)
     lines = [
         f"shape={format_parts(shape.outer)} inner={format_parts(shape.inner)} "
         f"mu={format_parts(mu)} index={index} nu={format_parts(nu)}"

@@ -146,27 +146,26 @@ def apply_move(mu: Sequence[int], move: CoverMove) -> Parts:
 def covers(mu: Sequence[int]) -> list[tuple[CoverMove, Parts]]:
     """Partitions covered by mu in dominance order, each paired with its box move.
 
-    Listed in reverse-lexicographic order of the target. A column move with
-    j = i + 1 produces the same target as the row move at i; such duplicates are
-    emitted once, annotated as the row move.
+    Each part mu_i >= 2 gives at most one cover (Brylawski 1973). With j the first
+    index past the run of parts equal to mu_i - 1 after i, an empty run and
+    mu_{i+1} <= mu_i - 2 give the row move i -> i+1, and a non-empty run and
+    mu_j = mu_i - 2 the column move i -> j. Distinct parts give distinct targets,
+    so none repeats, and the move of both kinds (j = i+1, mu_j = mu_i - 2) is
+    annotated as the row move. Listed by decreasing i: reverse-lex order of target.
     """
     mu = partition(mu)
-    found: dict[Parts, CoverMove] = {}
-    for i in range(1, len(mu) + 1):
-        if part_at(mu, i) >= part_at(mu, i + 1) + 2:
-            move = CoverMove(ROW, i, i + 1)
-            found.setdefault(apply_move(mu, move), move)
-    for i in range(1, len(mu) + 1):
-        top = part_at(mu, i)
+    moves = []
+    for i, top in enumerate(mu, start=1):
         if top < 2:
-            continue
+            break
         j = i + 1
         while part_at(mu, j) == top - 1:
             j += 1
-        if part_at(mu, j) == top - 2:
-            move = CoverMove(COLUMN, i, j)
-            found.setdefault(apply_move(mu, move), move)
-    return [(found[target], target) for target in sorted(found, reverse=True)]
+        if j == i + 1 and part_at(mu, j) <= top - 2:
+            moves.append(CoverMove(ROW, i, j))
+        elif j > i + 1 and part_at(mu, j) == top - 2:
+            moves.append(CoverMove(COLUMN, i, j))
+    return [(move, apply_move(mu, move)) for move in reversed(moves)]
 
 
 def cover_chain(mu: Sequence[int], nu: Sequence[int]) -> list[Parts]:
@@ -226,13 +225,6 @@ def full_transfer_chain(mu: Sequence[int], move: CoverMove) -> list[Parts]:
         chain.append(transfer_target(chain[-1], k))
     width = max(len(mu), j)
     return [step + (0,) * (width - len(step)) for step in chain]
-
-
-def adjacent_transfer_chain(mu: Sequence[int], move: CoverMove) -> list[Parts]:
-    """The intermediates of full_transfer_chain for a column cover move; a row move has none and is rejected."""
-    if move.kind != COLUMN:
-        raise ValueError("only column moves have intermediate transfer compositions")
-    return full_transfer_chain(mu, move)[1:-1]
 
 
 def transfer_target(mu: Sequence[int], index: int) -> Parts:

@@ -133,8 +133,10 @@ def count_in_class(sig: ClassSignature, target: Sequence[int]) -> int:
 
 
 def signature_census(shape: SkewShape, tableaux: Sequence[Tableau], index: int) -> dict[ClassSignature, int]:
-    """Group a batch of semistandard tableaux of one shape by class signature."""
+    """Group a batch of semistandard tableaux of shape by class signature; another shape raises ValueError."""
     out: dict[ClassSignature, int] = defaultdict(int)
     for t in tableaux:
+        if t.shape != shape:
+            raise ValueError(f"signature_census groups tableaux of {shape}, got one of {t.shape}")
         out[signature_of(t, index)] += 1
     return dict(out)

@@ -15,7 +15,6 @@ from kostka import (
     SizeMismatchError,
     SkewShape,
     Tableau,
-    adjacent_transfer_chain,
     adjacent_transfer_index,
     apply_move,
     composition,
@@ -260,17 +259,13 @@ class TestCoverChain:
 
 class TestTransferChains:
     def test_intermediates(self):
-        assert adjacent_transfer_chain((3, 2, 1), CoverMove(COLUMN, 1, 3)) == [(2, 3, 1)]
-        assert adjacent_transfer_chain((2, 1), CoverMove(COLUMN, 1, 3)) == [(1, 2, 0)]
-        assert adjacent_transfer_chain((2, 1, 1, 1), CoverMove(COLUMN, 1, 5)) == [
+        assert full_transfer_chain((3, 2, 1), CoverMove(COLUMN, 1, 3))[1:-1] == [(2, 3, 1)]
+        assert full_transfer_chain((2, 1), CoverMove(COLUMN, 1, 3))[1:-1] == [(1, 2, 0)]
+        assert full_transfer_chain((2, 1, 1, 1), CoverMove(COLUMN, 1, 5))[1:-1] == [
             (1, 2, 1, 1, 0),
             (1, 1, 2, 1, 0),
             (1, 1, 1, 2, 0),
         ]
-
-    def test_row_moves_have_no_intermediates(self):
-        with pytest.raises(ValueError):
-            adjacent_transfer_chain((3, 1), CoverMove(ROW, 1, 2))
 
     def test_full_chain_padded(self):
         assert full_transfer_chain((2, 1), CoverMove(COLUMN, 1, 3)) == [(2, 1, 0), (1, 2, 0), (1, 1, 1)]

@@ -1,9 +1,12 @@
-"""The names the benchmark tracer wraps must stay in the package.
+"""Checks on the source itself.
 
-perfbench/tracer.py skips a name it cannot find, and the metrics of that name
-then go missing from a traced run. These checks fail first instead.
+The names the benchmark tracer wraps must stay in the package: perfbench/tracer.py
+skips a name it cannot find, and the metrics of that name then go missing from a
+traced run. These checks fail first instead. And every function reads each of its
+parameters, so no argument is accepted and silently ignored.
 """
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -11,7 +14,8 @@ from pathlib import Path
 
 import kostka
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def load_tracer():
@@ -39,3 +43,20 @@ def test_traced_names_resolve():
 def test_traced_parameters_remain():
     assert "cache" in inspect.signature(kostka.kostka_number).parameters
     assert "parallelism" in inspect.signature(kostka.run_standard_suites).parameters
+
+
+def test_every_parameter_is_read():
+    unread = []
+    for path in sorted((ROOT / "src" / "kostka").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {
+                n.id for stmt in body for n in ast.walk(stmt) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            }
+            a = node.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+            name = getattr(node, "name", "<lambda>")
+            unread += [f"{path.name}:{node.lineno} {name}({p.arg})" for p in params if p.arg not in read]
+    assert not unread, "parameters never read: " + ", ".join(unread)

@@ -255,3 +255,8 @@ class TestSignatureCensus:
         assert sum(census.values()) == 2
         for sig, count in census.items():
             assert count_in_class(sig, mu) == count
+
+    def test_rejects_a_tableau_of_another_shape(self):
+        row = Tableau(SkewShape((3,)), ((1, 1, 2),))
+        with pytest.raises(ValueError, match=r"SkewShape\(outer=\(2,\).*SkewShape\(outer=\(3,\)"):
+            signature_census(SkewShape((2,)), [row], 1)
