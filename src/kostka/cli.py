@@ -5,8 +5,9 @@ error message names the offending flag). All output goes to the standard streams
 
 Each subcommand handler reads the parsed arguments and returns one payload dict,
 rendered as JSON, and the lines of its line-oriented format (text, or csv for
-matrix); main() alone prints one or the other. matrix fills in only the one
-asked for and leaves the other empty.
+matrix); main() alone prints one or the other, adds the subcommand first in each
+JSON payload as "command", and prints each CliError as "error: FLAG: MESSAGE".
+matrix returns KostkaMatrix's rendering as one string, with an empty payload.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ from .transfer_classes import count_in_class, signature_census
 from .verify import run_standard_suites
 
 Output = tuple[dict, list[str]]
-# kostka_matrix time grows about 3x per +2 in n. On 2 CPUs n=20 took 10-14 s, with peak RSS 24 MB for csv,
-# 28 MB for text and 40 MB for json; n=22 took 34-44 s, with 38 MB for csv, 48 MB for text and 67 MB for json
+# kostka_matrix time grows about 3x per +2 in n. On 2 CPUs n=20 took 10-14 s, with peak RSS 25 MB for csv,
+# 34 MB for text and 40 MB for json; n=22 took 31-44 s, with 38 MB for csv, 65 MB for text and 67 MB for json
 MAX_MATRIX_N = 24
 # classes enumerates K(shape, mu) + K(shape, nu) fillings; two-row shapes are slowest per filling, and near
 # 2,000 fillings (10,10) took 5 s, (12,12) 23 s on 2 CPUs; dead ends of the enumerator are not bounded by it
@@ -46,12 +47,10 @@ MAX_VERIFY_N = 8
 
 
 class CliError(Exception):
-    """Malformed input; carries the offending flag for the exit-2 message."""
+    """Malformed input, raised as CliError(flag, message); main() prints "error: FLAG: MESSAGE" and exits 2."""
 
-    def __init__(self, flag: str, message: str) -> None:
-        super().__init__(f"{flag}: {message}")
-        self.flag = flag
-        self.message = message
+    def __str__(self) -> str:
+        return ": ".join(self.args)
 
 
 def _check_size(flag: str, n: int, cap: int) -> None:
@@ -82,7 +81,6 @@ def _compute(args: argparse.Namespace) -> Output:
     content = _parse("--content", args.content, shape.check_content)
     value = kostka_number(shape, content)
     payload = {
-        "command": "compute",
         "shape": format_parts(shape.outer),
         "inner": format_parts(shape.inner),
         "content": format_parts(content),
@@ -91,27 +89,12 @@ def _compute(args: argparse.Namespace) -> Output:
     return payload, [str(value)]
 
 
-def _matrix_text(labels: list[str], values: Sequence[Sequence[int]]) -> list[str]:
-    # entries are non-negative, so a column's longest number is its largest
-    widths = [max(map(len, labels), default=0)]
-    widths += [max(len(label), len(str(max(column)))) for label, column in zip(labels, zip(*values))]
-
-    def line(cells: list[str]) -> str:
-        return "  ".join(map(str.rjust, cells, widths)).rstrip()
-
-    return [line(["", *labels])] + [line([label, *map(str, row)]) for label, row in zip(labels, values)]
-
-
 def _matrix(args: argparse.Namespace) -> Output:
     _check_size("--n", args.n, MAX_MATRIX_N)
     matrix = kostka_matrix(args.n)
     # the table of strings is most of a large matrix's memory, so each format renders straight to text
-    if args.fmt == "json":
-        return {}, [matrix.to_json()]
-    if args.fmt == "csv":
-        return {}, matrix.to_csv().splitlines()
-    labels = [format_parts(p) for p in matrix.partitions]
-    return {}, _matrix_text(labels, matrix.values)
+    render = {"text": matrix.to_text, "csv": matrix.to_csv, "json": matrix.to_json}[args.fmt]
+    return {}, [render().removesuffix("\n")]
 
 
 def _move_json(move) -> dict:
@@ -122,7 +105,6 @@ def _covers(args: argparse.Namespace) -> Output:
     mu = _parse("--mu", args.mu)
     pairs = covers(mu)
     payload = {
-        "command": "covers",
         "mu": format_parts(mu),
         "covers": [{"target": format_parts(t), "move": _move_json(m)} for m, t in pairs],
     }
@@ -140,7 +122,6 @@ def _chain(args: argparse.Namespace) -> Output:
     for before, after in zip(chain, chain[1:]):
         moves.append(next(m for m, t in covers(before) if t == after))
     payload = {
-        "command": "chain",
         "mu": format_parts(mu),
         "nu": format_parts(nu),
         "chain": [format_parts(p) for p in chain],
@@ -194,7 +175,6 @@ def _classes(args: argparse.Namespace) -> Output:
         )
     lines.append(f"total: mu-count={mu_total} nu-count={nu_total}")
     payload = {
-        "command": "classes",
         "shape": format_parts(shape.outer),
         "inner": format_parts(shape.inner),
         "mu": format_parts(mu),
@@ -223,7 +203,6 @@ def _verify(args: argparse.Namespace) -> Output:
         f"violations={total_violations} {status}"
     )
     payload = {
-        "command": "verify",
         "max_n": args.max_n,
         "reports": [r.to_json_dict() for r in reports],
         "violations": total_violations,
@@ -283,11 +262,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         payload, lines = args.run(args)
     except CliError as e:
-        print(f"error: {e.flag}: {e.message}", file=sys.stderr)
+        print(f"error: {e}", file=sys.stderr)
         return 2
     # matrix renders its own JSON into lines and leaves the payload empty
     if args.fmt == "json" and payload:
-        lines = [json.dumps(payload, indent=2)]
+        lines = [json.dumps({"command": args.command, **payload}, indent=2)]
     for line in lines:
         print(line)
     # only verify reports violations; any found means exit 1

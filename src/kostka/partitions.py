@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 Parts = tuple[int, ...]
@@ -78,10 +79,9 @@ def dominates(a: Sequence[int], b: Sequence[int]) -> bool:
     b = composition(b)
     if sum(a) != sum(b):
         raise SizeMismatchError(f"dominance compares equal totals only, got {sum(a)} vs {sum(b)}")
-    sa = sb = 0
-    for k in range(max(len(a), len(b))):
-        sa += a[k] if k < len(a) else 0
-        sb += b[k] if k < len(b) else 0
+    # zip stops at the shorter one's end, where its prefix sum is the total: no sum of
+    # the longer one can pass that later, nor fall back once it has reached it
+    for sa, sb in zip(accumulate(a), accumulate(b)):
         if sa < sb:
             return False
     return True
@@ -255,18 +255,14 @@ def adjacent_transfer_index(before: Sequence[int], after: Sequence[int]) -> int 
     b = composition(after)
     if sum(a) != sum(b):
         return None
-    width = max(len(a), len(b))
-    av = list(a) + [0] * (width - len(a))
-    bv = list(b) + [0] * (width - len(b))
-    diffs = [k for k in range(width) if av[k] != bv[k]]
+    diffs = [k for k in range(1, max(len(a), len(b)) + 1) if part_at(a, k) != part_at(b, k)]
     if len(diffs) != 2:
         return None
     r, s = diffs
-    if s != r + 1 or bv[r] != av[r] - 1 or bv[s] != av[s] + 1:
+    # equal totals make part s gain exactly the unit part r lost
+    if s != r + 1 or part_at(b, r) != part_at(a, r) - 1 or part_at(a, r) <= part_at(a, s):
         return None
-    if av[r] <= av[s]:
-        return None
-    return r + 1
+    return r
 
 
 def parse_parts(text: str) -> Parts:

@@ -18,7 +18,7 @@ import functools
 import time
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from itertools import permutations, product
+from itertools import permutations, product, takewhile
 from typing import Callable, Iterator, Sequence
 
 from .counting import count_bounded_compositions, split_by_first_part
@@ -147,13 +147,14 @@ def verify_positivity(max_n: int) -> Checks:
         lam = shape.outer
         for mu in partitions_of(shape.size):
             positive = kostka_number(shape, mu) > 0
-            yield [] if positive == dominates(lam, mu) else [
+            dominated = dominates(lam, mu)
+            yield [] if positive == dominated else [
                 {
                     "m": shape.size,
                     "lambda": _label(shape),
                     "mu": format_parts(mu),
                     "positive": positive,
-                    "dominates": dominates(lam, mu),
+                    "dominates": dominated,
                 }
             ]
 
@@ -368,10 +369,10 @@ def verify_adjacent_transfer(max_cells: int, include_skew: bool = False) -> Chec
 def verify_transfer_chains(max_n: int) -> Checks:
     """Column cover moves decompose into adjacent transfers with monotone counts.
 
-    For every column cover with n <= max_n: the expected number of intermediates
-    exists, consecutive chain steps are single adjacent transfers with the source
-    part exceeding the target, and for every straight shape of n the counts along
-    the chain weakly increase.
+    For every column cover with n <= max_n: the chain has one intermediate per part
+    equal to mu_i - 1 right after part i in mu, consecutive chain steps are single
+    adjacent transfers with the source part exceeding the target, and for every
+    straight shape of n the counts along the chain weakly increase.
     """
     for n in range(max_n + 1):
         lams = partitions_of(n)
@@ -381,7 +382,8 @@ def verify_transfer_chains(max_n: int) -> Checks:
                     continue
                 found = []
                 chain = full_transfer_chain(mu, move)
-                if len(chain[1:-1]) != move.j - move.i - 1:
+                run = list(takewhile(lambda part: part == mu[move.i - 1] - 1, mu[move.i :]))
+                if len(chain[1:-1]) != len(run):
                     found.append({"mu": format_parts(mu), "move": move.describe(), "kind": "length"})
                 for t in range(len(chain) - 1):
                     if adjacent_transfer_index(chain[t], chain[t + 1]) is None:
@@ -440,13 +442,14 @@ def verify_permutation_invariance(max_cells: int) -> Checks:
         for mu in partitions_of(shape.size):
             base = kostka_number(shape, mu)
             for perm in sorted(set(permutations(mu + (0,)))):
-                yield [] if kostka_number(shape, perm) == base else [
+                got = kostka_number(shape, perm)
+                yield [] if got == base else [
                     {
                         "shape": _label(shape),
                         "mu": format_parts(mu),
                         "perm": format_parts(perm),
                         "base": base,
-                        "got": kostka_number(shape, perm),
+                        "got": got,
                     }
                 ]
 

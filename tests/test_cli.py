@@ -13,7 +13,7 @@ from textwrap import dedent
 import kostka
 import kostka.cli
 import kostka.verify
-from kostka import Report, kostka_matrix
+from kostka import KostkaMatrix, Report, kostka_matrix
 from kostka.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -80,8 +80,10 @@ class TestMatrix:
             expected = "".join(line + "\n" for line in table_layout(labels, matrix.values))
             assert run(capsys, "matrix", "--n", str(n)) == (0, expected, "")
         # up to n = 10 every label is wider than its column's numbers, so these tables set widths by numbers
-        for labels, values in [([], []), (["2", "1,1"], [[1, 123456], [0, 1]]), (["9"], [[10**30]])]:
-            assert kostka.cli._matrix_text(labels, values) == table_layout(labels, values)
+        tables = [(0, (), ()), (2, ((2,), (1, 1)), ((1, 123456), (0, 1))), (9, ((9,),), ((10**30,),))]
+        for n, partitions, values in tables:
+            labels = [kostka.format_parts(p) for p in partitions]
+            assert KostkaMatrix(n, partitions, values).to_text() == "\n".join(table_layout(labels, values))
 
     def test_csv_n3(self, capsys):
         code, out, _ = run(capsys, "matrix", "--n", "3", "--format", "csv")

@@ -33,8 +33,17 @@ from kostka import (
     partition,
     partitions_of,
 )
+from kostka.verify import bounded_content_family
 
 partitions_strategy = st.lists(st.integers(1, 6), max_size=5).map(lambda xs: tuple(sorted(xs, reverse=True)))
+# every composition of each m <= 5 with at most m+1 parts; their pairs differ in length and in total
+SMALL_COMPOSITIONS = [c for m in range(6) for c in bounded_content_family(m)]
+
+
+def padded(a, b):
+    """a and b as lists of one width, zeros appended to the shorter."""
+    width = max(len(a), len(b))
+    return list(a) + [0] * (width - len(a)), list(b) + [0] * (width - len(b))
 
 
 class TestConstructors:
@@ -119,6 +128,17 @@ class TestDominance:
     def test_incomparable_pair(self):
         assert not dominates((3, 1, 1, 1), (2, 2, 2))
         assert not dominates((2, 2, 2), (3, 1, 1, 1))
+
+    def test_every_small_pair_against_padded_prefix_sums(self):
+        for a in SMALL_COMPOSITIONS:
+            for b in SMALL_COMPOSITIONS:
+                if sum(a) != sum(b):
+                    with pytest.raises(SizeMismatchError):
+                        dominates(a, b)
+                    continue
+                pa, pb = padded(a, b)
+                expected = all(sum(pa[:k]) >= sum(pb[:k]) for k in range(1, len(pa) + 1))
+                assert dominates(a, b) == dominates(a + (0,), b) == expected, (a, b)
 
 
 class TestPartitionsOf:
@@ -290,6 +310,17 @@ class TestAdjacentTransferIndex:
         assert adjacent_transfer_index((3, 1), (2, 1, 1)) is None  # not adjacent
         assert adjacent_transfer_index((2, 1), (1, 1)) is None  # different totals
         assert adjacent_transfer_index((1, 1), (0, 2)) is None  # source did not exceed target
+
+    def test_every_small_pair_against_padded_differences(self):
+        for a in SMALL_COMPOSITIONS:
+            for b in SMALL_COMPOSITIONS:
+                pa, pb = padded(a, b)
+                diff = [y - x for x, y in zip(pa, pb)]
+                expected = None
+                for r in range(1, len(diff)):
+                    if diff == [0] * (r - 1) + [-1, 1] + [0] * (len(diff) - r - 1) and pa[r - 1] > pa[r]:
+                        expected = r
+                assert adjacent_transfer_index(a, b) == adjacent_transfer_index(a, b + (0,)) == expected, (a, b)
 
 
 class TestTextFormats:

@@ -2,14 +2,16 @@
 
 The names the benchmark tracer wraps must stay in the package: perfbench/tracer.py
 skips a name it cannot find, and the metrics of that name then go missing from a
-traced run. These checks fail first instead. And every function reads each of its
-parameters, so no argument is accepted and silently ignored.
+traced run. These checks fail first instead. Every function reads each of its
+parameters, so no argument is accepted and silently ignored. And the package
+imports only the standard library and itself, so its runtime needs nothing else.
 """
 
 import ast
 import importlib
 import importlib.util
 import inspect
+import sys
 from pathlib import Path
 
 import kostka
@@ -60,3 +62,19 @@ def test_every_parameter_is_read():
             name = getattr(node, "name", "<lambda>")
             unread += [f"{path.name}:{node.lineno} {name}({p.arg})" for p in params if p.arg not in read]
     assert not unread, "parameters never read: " + ", ".join(unread)
+
+
+def test_imports_only_the_standard_library():
+    outside = []
+    for path in sorted((ROOT / "src" / "kostka").glob("*.py")):
+        # ast.walk reaches imports inside functions too
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            tops = {name.partition(".")[0] for name in names}
+            outside += [f"{path.name}:{node.lineno} {top}" for top in sorted(tops - sys.stdlib_module_names - {"kostka"})]
+    assert not outside, "imports outside the standard library: " + ", ".join(outside)

@@ -8,6 +8,7 @@ from kostka import (
     SkewShape,
     count_bounded_compositions,
     covers,
+    full_transfer_chain,
     iter_semistandard,
     kostka_number,
     partitions_of,
@@ -191,6 +192,28 @@ class TestFaultInjection:
         report = verify_transfer_chains(3)
         assert not report.ok
         assert {"mu": "2,1", "move": "column-move i=1, j=3", "lambda": "2,1", "counts": [1, 5, 2]} in report.violations
+
+    def test_transfer_chains_dropped_intermediate_is_caught(self, monkeypatch):
+        # the chain of the column move 1 -> 3 of (2,1) loses its one intermediate (1,2,0),
+        # while mu still has one part equal to mu_1 - 1 right after part 1
+        def chain(mu, move):
+            steps = full_transfer_chain(mu, move)
+            return steps[:1] + steps[2:]
+
+        monkeypatch.setattr(kostka.verify, "full_transfer_chain", chain)
+        report = verify_transfer_chains(3)
+        assert {"mu": "2,1", "move": "column-move i=1, j=3", "kind": "length"} in report.violations
+
+    def test_transfer_chains_two_unit_step_is_caught(self, monkeypatch):
+        # the first step of (2,1,0) -> (1,2,0) -> (1,1,1) moves two units instead: (2,1,0) -> (0,3,0)
+        def chain(mu, move):
+            steps = full_transfer_chain(mu, move)
+            return [steps[0], (0, 3, 0), *steps[2:]] if mu == (2, 1) else steps
+
+        monkeypatch.setattr(kostka.verify, "full_transfer_chain", chain)
+        report = verify_transfer_chains(3)
+        assert {"mu": "2,1", "move": "column-move i=1, j=3", "step": 0, "kind": "precondition"} in report.violations
+        assert not any(v.get("kind") == "length" for v in report.violations)
 
     def test_oracle_equivalence_dp_fault_is_caught(self, monkeypatch):
         monkeypatch.setattr(
