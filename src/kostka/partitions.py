@@ -9,7 +9,6 @@ Rows and part indices are 1-based in every public docstring and error message.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import accumulate
 from typing import Iterable, Sequence
 
@@ -87,28 +86,34 @@ def dominates(a: Sequence[int], b: Sequence[int]) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
-def _partitions_of(n: int, max_part: int) -> tuple[Parts, ...]:
-    if n == 0:
-        return ((),)
-    out = []
-    for first in range(min(n, max_part), 0, -1):
-        for rest in _partitions_of(n - first, first):
-            out.append((first,) + rest)
-    return tuple(out)
-
-
 def partitions_of(n: int, max_part: int | None = None) -> list[Parts]:
     """All partitions of n in reverse-lexicographic order, largest part first.
 
-    partitions_of(4) starts with (4,) and ends with (1, 1, 1, 1).
+    partitions_of(4) starts with (4,) and ends with (1, 1, 1, 1). Nothing is kept between calls.
+    Each step drops the trailing 1s, lowers the last part left by one and refills greedily.
     """
     if n < 0:
         raise ValueError(f"cannot partition a negative total {n}")
-    bound = n if max_part is None else min(max_part, n)
-    if n and bound <= 0:
+    if not n:
+        return [()]
+    top = n if max_part is None else min(max_part, n)
+    if top <= 0:
         return []
-    return list(_partitions_of(n, bound if n else 1))
+    rest, parts, out = n, [], []
+    while True:
+        copies, left = divmod(rest, top)
+        parts += [top] * copies
+        if left:
+            parts.append(left)
+        out.append(tuple(parts))
+        rest = 1  # the unit the last part above 1 gives up, then one per trailing 1
+        while parts and parts[-1] == 1:
+            parts.pop()
+            rest += 1
+        if not parts:
+            return out
+        top = parts[-1] - 1
+        parts[-1] = top
 
 
 def conjugate(p: Sequence[int]) -> Parts:

@@ -18,7 +18,7 @@ import functools
 import time
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from itertools import permutations, product, takewhile
+from itertools import combinations, permutations, product, takewhile
 from typing import Callable, Iterator, Sequence
 
 from .counting import count_bounded_compositions, split_by_first_part
@@ -111,13 +111,15 @@ def canonical_box_skew_shapes(max_rows: int, max_cols: int, max_cells: int) -> l
     spans at most max_cells columns.
     """
     shapes = []
+    # inners are listed once per size for the widest outer; the first row must keep a cell
+    inners = [partitions_of(size, max_part=max_cols - 1) for size in range(max_rows * max_cols)]
     for outer_size in range(1, max_rows * max_cols + 1):
         for outer in partitions_of(outer_size, max_part=max_cols):
             if len(outer) > max_rows:
                 continue
             for inner_size in range(max(0, outer_size - max_cells), outer_size):
-                for inner in partitions_of(inner_size, max_part=outer[0] - 1):
-                    if len(inner) >= len(outer):
+                for inner in inners[inner_size]:
+                    if len(inner) >= len(outer) or (inner and inner[0] >= outer[0]):
                         continue
                     if any(inner[r] > outer[r] for r in range(len(inner))):
                         continue
@@ -167,14 +169,12 @@ def verify_monotonicity(max_n: int, include_skew: bool = False) -> Checks:
     translation-canonical skew shapes with up to max_n cells fitting a 4-row by
     max_n-column box run as well.
     """
-    # dominance depends on the size only, so each size's pairs are listed once
-    pairs = {}
-    for m in range(max_n + 1):
-        parts = partitions_of(m)
-        pairs[m] = [(mu, nu) for mu in parts for nu in parts if dominates(mu, nu)]
+    # dominance depends on the size only, so each size's partitions and pairs are listed once
+    parts = [partitions_of(m) for m in range(max_n + 1)]
+    pairs = [[(mu, nu) for mu in ps for nu in ps if dominates(mu, nu)] for ps in parts]
     for shape in _shapes(max_n, include_skew):
         label = _label(shape)
-        counts = {mu: kostka_number(shape, mu) for mu in partitions_of(shape.size)}
+        counts = {mu: kostka_number(shape, mu) for mu in parts[shape.size]}
         for mu, nu in pairs[shape.size]:
             yield [] if counts[mu] <= counts[nu] else [
                 {
@@ -283,18 +283,12 @@ def bounded_content_family(m: int) -> list[Parts]:
     This is the finite slice standing in for "every content": wider vectors are
     relabelings that cannot introduce new behavior for m cells.
     """
-
-    def comps(total: int, k: int) -> Iterator[tuple[int, ...]]:
-        if k == 0:
-            if total == 0:
-                yield ()
-            return
-        for first in range(total + 1):
-            for rest in comps(total - first, k - 1):
-                yield (first,) + rest
-
+    # stars and bars: m bars among 2m slots cut m stars into m+1 gaps, the parts;
     # stripping trailing zeros is one-to-one on vectors of one length
-    return sorted(composition(c) for c in comps(m, m + 1))
+    return sorted(
+        composition(tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, 2 * m))))
+        for bars in combinations(range(2 * m), m)
+    )
 
 
 @_suite("adjacent-transfer")

@@ -1,6 +1,8 @@
 """Partitions, compositions, dominance, covers, and chains."""
 
+import gc
 import re
+import tracemalloc
 from enum import IntEnum
 
 import pytest
@@ -166,6 +168,32 @@ class TestPartitionsOf:
     def test_negative_raises(self):
         with pytest.raises(ValueError):
             partitions_of(-1)
+
+    def test_matches_recursive_reference(self):
+        def reference(n, bound):
+            if n == 0:
+                return [()]
+            return [(first,) + rest for first in range(min(n, bound), 0, -1) for rest in reference(n - first, first)]
+
+        for n in range(21):
+            assert partitions_of(n) == reference(n, n)
+            for max_part in range(n + 2):
+                assert partitions_of(n, max_part) == reference(n, max_part), (n, max_part)
+
+    def test_deep_requests_need_no_stack(self):
+        assert partitions_of(1500, max_part=1) == [(1,) * 1500]
+        assert len(partitions_of(1200, max_part=2)) == 601
+
+    def test_keeps_nothing_between_calls(self):
+        tracemalloc.start()
+        try:
+            partitions_of(30)
+            # a full collection empties the free lists, which hold on to freed small tuples
+            gc.collect()
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kept < 64 * 1024
 
 
 class TestConjugate:

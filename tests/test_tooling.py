@@ -5,6 +5,8 @@ skips a name it cannot find, and the metrics of that name then go missing from a
 traced run. These checks fail first instead. Every function reads each of its
 parameters, so no argument is accepted and silently ignored. And the package
 imports only the standard library and itself, so its runtime needs nothing else.
+No function calls itself, so deep inputs cannot exhaust the stack, and no cache
+grows without bound in a long-lived process.
 """
 
 import ast
@@ -78,3 +80,39 @@ def test_imports_only_the_standard_library():
             tops = {name.partition(".")[0] for name in names}
             outside += [f"{path.name}:{node.lineno} {top}" for top in sorted(tops - sys.stdlib_module_names - {"kostka"})]
     assert not outside, "imports outside the standard library: " + ", ".join(outside)
+
+
+def package_trees():
+    for path in sorted((ROOT / "src" / "kostka").glob("*.py")):
+        yield path, ast.parse(path.read_text(), str(path))
+
+
+def test_no_function_calls_itself():
+    # a recursive walk runs out of stack on deep inputs; the loops need none
+    recursive = []
+    for path, tree in package_trees():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if any(
+                isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and call.func.id == node.name
+                for call in ast.walk(node)
+            ):
+                recursive.append(f"{path.name}:{node.lineno} {node.name}")
+    assert not recursive, "functions calling themselves: " + ", ".join(recursive)
+
+
+def test_every_cache_is_bounded():
+    # functools.cache and lru_cache(maxsize=None) keep every result for the life of the process
+    unbounded = []
+    for path, tree in package_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools" and "cache" in {a.name for a in node.names}:
+                unbounded.append(f"{path.name}:{node.lineno} functools.cache")
+            elif isinstance(node, ast.Attribute) and node.attr == "cache" and getattr(node.value, "id", None) == "functools":
+                unbounded.append(f"{path.name}:{node.lineno} functools.cache")
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "lru_cache":
+                sizes = [k.value for k in node.keywords if k.arg == "maxsize"] + node.args[:1]
+                if any(not (isinstance(size, ast.Constant) and type(size.value) is int) for size in sizes):
+                    unbounded.append(f"{path.name}:{node.lineno} lru_cache without a finite maxsize")
+    assert not unbounded, "unbounded caches: " + ", ".join(unbounded)

@@ -393,3 +393,20 @@ class TestCanonicalSkewShapes:
             assert s.n_rows <= 4 and s.outer[0] <= 6
             assert len(s.inner) < len(s.outer)  # flush left
             assert s.inner[0] < s.outer[0] if s.inner else True  # first row holds a cell
+
+    def test_order_matches_listing_inners_per_outer(self):
+        def reference(max_rows, max_cols, max_cells):
+            shapes = []
+            for outer_size in range(1, max_rows * max_cols + 1):
+                for outer in partitions_of(outer_size, max_part=max_cols):
+                    if len(outer) > max_rows:
+                        continue
+                    for inner_size in range(max(0, outer_size - max_cells), outer_size):
+                        for inner in partitions_of(inner_size, max_part=outer[0] - 1):
+                            if len(inner) < len(outer) and all(i <= o for i, o in zip(inner, outer)):
+                                shapes.append((outer, inner))
+            return shapes
+
+        for args in [(4, 6, 6), (3, 4, 4), (2, 2, 2), (1, 3, 2)]:
+            got = [(s.outer, s.inner) for s in canonical_box_skew_shapes(*args)]
+            assert got == reference(*args), args
