@@ -42,7 +42,7 @@ MAX_MATRIX_N = 24
 # classes enumerates K(shape, mu) + K(shape, nu) fillings; two-row shapes are slowest per filling, and near
 # 2,000 fillings (10,10) took 5 s, (12,12) 23 s on 2 CPUs; dead ends of the enumerator are not bounded by it
 MAX_CLASSES_FILLINGS = 2000
-# verify time grows about 7x per +1 in max_n; on 2 CPUs max_n=7 took 2.2-2.7 s, max_n=8 16-18 s and 63 MB peak RSS
+# verify time grows about 7x per +1 in max_n; on 2 CPUs (median of 3 runs) max_n=7 took 1.7 s, max_n=8 12.4 s and 48 MB peak RSS
 MAX_VERIFY_N = 8
 
 

@@ -132,27 +132,21 @@ def word_content(word: Sequence[int]) -> Parts:
     return tuple(map(word.count, range(1, max(word) + 1)))
 
 
-def semistandard_words(
-    shape: SkewShape, max_entry: int, content: Sequence[int] | None = None
-) -> Iterator[tuple[int, ...]]:
-    """Every semistandard filling with entries in 1..max_entry, as its reading word.
+def semistandard_words(shape: SkewShape, caps: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """Every semistandard filling in which the entry k appears at most caps[k-1] times, as its reading word.
 
     The reading word lists the entries row by row, top to bottom, left to right.
-    content, when given, holds max_entry multiplicities: content[k] copies of the
-    entry k+1. Backtracking runs over the cells in row-major order with ascending
-    candidates, so the words come out in lexicographic order; it is a loop over
-    cell positions, not a recursion, so long shapes cannot exhaust the stack.
+    Caps that total the cell count fix the content exactly. Backtracking runs over
+    the cells in row-major order with ascending candidates, so the words come out
+    in lexicographic order; it is a loop over cell positions, not a recursion, so
+    long shapes cannot exhaust the stack.
     """
-    if max_entry < 0:
-        raise ValueError(f"max_entry must be non-negative, got {max_entry}")
-    if content is not None:
-        if len(content) != max_entry:
-            raise ValueError(f"content needs {max_entry} multiplicities, got {len(content)}")
-        composition(content)  # rejects negative or non-integer multiplicities
+    caps = composition(caps)  # rejects negative or non-integer caps
+    top = len(caps)
     cells, left, up = _neighbours(shape)
     n = len(cells)
-    # copies of each entry still unplaced; without a content, more than fit
-    remaining = [n] * (max_entry + 1) if content is None else [0, *content]
+    # copies of each entry still allowed
+    remaining = [0, *caps]
     # a missing neighbour (-1) reads the last slot of values, which stays 0
     values = [0] * (n + 1)
     k, v = 0, 1
@@ -160,9 +154,9 @@ def semistandard_words(
         if k == n:
             yield tuple(values[:n])
         else:
-            while v <= max_entry and not remaining[v]:
+            while v <= top and not remaining[v]:
                 v += 1
-            if v <= max_entry:
+            if v <= top:
                 values[k] = v
                 remaining[v] -= 1
                 k += 1
@@ -193,10 +187,12 @@ def enumerate_ssyt(shape: SkewShape, content: Sequence[int]) -> list[Tableau]:
     are allowed. The total must equal the number of cells. Output is sorted
     lexicographically by reading word.
     """
-    content = shape.check_content(content)
-    return list(_tableaux(shape, semistandard_words(shape, len(content), content)))
+    return list(_tableaux(shape, semistandard_words(shape, shape.check_content(content))))
 
 
 def iter_semistandard(shape: SkewShape, max_entry: int) -> Iterator[Tableau]:
     """Lazily enumerate every semistandard filling with entries in 1..max_entry."""
-    yield from _tableaux(shape, semistandard_words(shape, max_entry))
+    if max_entry < 0:
+        raise ValueError(f"max_entry must be non-negative, got {max_entry}")
+    # a cap of the cell count never binds, so these caps bound only which entries appear
+    yield from _tableaux(shape, semistandard_words(shape, (shape.size,) * max_entry))

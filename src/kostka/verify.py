@@ -264,15 +264,15 @@ def verify_bounded_counts(max_len: int = 4, max_entry: int = 4) -> Checks:
             yield [] if total == normalization else [{"caps": caps, "kind": "normalization"}]
 
 
-def content_census(shape: SkewShape, max_entry: int) -> dict[Parts, list[Sequence[int]]]:
-    """The reading word of every semistandard filling with entries up to max_entry, grouped by content.
+def content_census(shape: SkewShape, caps: Sequence[int]) -> dict[Parts, list[Sequence[int]]]:
+    """The reading word of every semistandard filling with the entry k at most caps[k-1] times, grouped by content.
 
-    Each word is bytes, one entry per byte; with max_entry above 255 the words stay tuples.
+    Each word is bytes, one entry per byte; with more than 255 caps the words stay tuples.
     """
-    pack = bytes if max_entry <= 255 else tuple
+    pack = bytes if len(caps) <= 255 else tuple
     # the words of one content sort to one tuple, which is cheaper to key by
     by_entries: dict[tuple[int, ...], list[Sequence[int]]] = defaultdict(list)
-    for word in semistandard_words(shape, max_entry):
+    for word in semistandard_words(shape, caps):
         by_entries[tuple(sorted(word))].append(pack(word))
     return {word_content(entries): words for entries, words in by_entries.items()}
 
@@ -308,7 +308,8 @@ def verify_adjacent_transfer(max_cells: int, include_skew: bool = False) -> Chec
         m = shape.size
         label = _label(shape)
         cells = shape.cells()
-        census = content_census(shape, m + 2)
+        # mu has at most m+1 parts, and the only nu with an m+2 comes from a transfer at i = m+1, which moves one unit
+        census = content_census(shape, (m,) * (m + 1) + (1,))
         for mu in sorted(census):
             if len(mu) > m + 1:
                 continue
@@ -409,7 +410,7 @@ def verify_oracle_equivalence(max_cells: int) -> Checks:
         family = bounded_content_family(m)
         for lam in partitions_of(m):
             shape = SkewShape(lam)
-            census = {c: len(words) for c, words in content_census(shape, m + 1).items()}
+            census = {c: len(words) for c, words in content_census(shape, (m,) * (m + 1)).items()}
             local: dict = {}
             for content in family:
                 dp = kostka_number(shape, content, cache=local)

@@ -1,6 +1,6 @@
 """Skew shapes, tableaux, semistandardness, and the enumeration oracle."""
 
-from itertools import product
+from itertools import product, zip_longest
 
 import pytest
 
@@ -31,6 +31,15 @@ def semistandard_by_definition(t: Tableau) -> bool:
     rows_weak = all(a <= b for row in t.rows for a, b in zip(row, row[1:]))
     columns_strict = all(e < grid[(r + 1, c)] for (r, c), e in grid.items() if (r + 1, c) in grid)
     return rows_weak and columns_strict
+
+
+def tableau_of(shape: SkewShape, word: tuple[int, ...]) -> Tableau:
+    """The filling of shape whose reading word is word."""
+    rows, k = [], 0
+    for first, last in map(shape.row_span, range(1, shape.n_rows + 1)):
+        rows.append(word[k:k + last - first + 1])
+        k += last - first + 1
+    return Tableau(shape, tuple(rows))
 
 
 class TestSkewShape:
@@ -120,13 +129,8 @@ class TestSemistandard:
         shapes |= {SkewShape((2, 2, 1), (2, 1)), SkewShape((3, 3, 1), (3,))}
         fillings = rejected = 0
         for shape in shapes:
-            lengths = [last - first + 1 for first, last in map(shape.row_span, range(1, shape.n_rows + 1))]
             for word in product(range(1, 5), repeat=shape.size):
-                rows, k = [], 0
-                for length in lengths:
-                    rows.append(word[k:k + length])
-                    k += length
-                t = Tableau(shape, tuple(rows))
+                t = tableau_of(shape, word)
                 expected = semistandard_by_definition(t)
                 assert is_semistandard(t) == expected, t.rows
                 fillings += 1
@@ -218,20 +222,36 @@ class TestEnumeration:
 
     def test_words_are_the_reading_words_in_lexicographic_order(self):
         shape = SkewShape((3, 2), (1,))
-        words = list(semistandard_words(shape, 4))
+        words = list(semistandard_words(shape, (4,) * 4))
         assert words == [t.reading_word() for t in iter_semistandard(shape, 4)]
         assert words == sorted(set(words))
-        assert list(semistandard_words(shape, 3, (1, 2, 1))) == [
+        assert list(semistandard_words(shape, (1, 2, 1))) == [
             t.reading_word() for t in enumerate_ssyt(shape, (1, 2, 1))
         ]
-        with pytest.raises(ValueError):
-            list(semistandard_words(shape, 4, (1, 2, 1)))
 
     def test_words_reject_bad_multiplicities(self):
         shape = SkewShape((2,))
-        for content in [(-1, 3), (True, 1), (1, 1.0)]:
+        for caps in [(-1, 3), (True, 1), (1, 1.0)]:
             with pytest.raises(ValueError):
-                list(semistandard_words(shape, 2, content))
+                list(semistandard_words(shape, caps))
+
+    def test_caps_bound_each_entry(self):
+        # the words are the semistandard fillings, found by brute force, whose content fits under the caps, in order
+        shapes = [SkewShape(lam) for m in range(6) for lam in partitions_of(m)] + canonical_box_skew_shapes(3, 4, 4)
+        for shape in shapes:
+            m = shape.size
+            top = max(3, m + 1)
+            uncapped = [w for w in product(range(1, top + 1), repeat=m) if semistandard_by_definition(tableau_of(shape, w))]
+            for caps in [*product(range(3), repeat=3), *((m,) * k for k in range(top + 1))]:
+                expected = [
+                    w for w in uncapped
+                    if all(c <= cap for c, cap in zip_longest(word_content(w), caps, fillvalue=0))
+                ]
+                assert list(semistandard_words(shape, caps)) == expected, (shape, caps)
+
+    def test_iter_semistandard_rejects_a_negative_max_entry(self):
+        with pytest.raises(ValueError):
+            list(iter_semistandard(SkewShape((2,)), -1))
 
     def test_word_content(self):
         assert word_content((1, 3, 3)) == (1, 0, 2)

@@ -2,7 +2,8 @@
 
 The names the benchmark tracer wraps must stay in the package: perfbench/tracer.py
 skips a name it cannot find, and the metrics of that name then go missing from a
-traced run. These checks fail first instead. Every function reads each of its
+traced run. These checks fail first instead, as they do for a change that moves one
+of the suite totals pinned in perfbench/workloads.py. Every function reads each of its
 parameters, so no argument is accepted and silently ignored. And the package
 imports only the standard library and itself, so its runtime needs nothing else.
 No function calls itself, so deep inputs cannot exhaust the stack, and no cache
@@ -19,19 +20,18 @@ from pathlib import Path
 import kostka
 
 ROOT = Path(__file__).resolve().parents[1]
-TRACER = ROOT / "perfbench" / "tracer.py"
 
 
-def load_tracer():
-    # tracer.py imports only the standard library, so it loads without the rest of perfbench
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def load_perfbench(name):
+    # tracer.py and workloads.py import only the standard library, so each loads without the rest of perfbench
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_traced_names_resolve():
-    tracer = load_tracer()
+    tracer = load_perfbench("tracer")
     for layer, names in tracer.LAYERS.items():
         home = importlib.import_module(f"kostka.{layer}")
         for name in names:
@@ -42,6 +42,14 @@ def test_traced_names_resolve():
     suites = importlib.import_module("kostka.verify")
     for name in tracer.SUITES:
         assert callable(getattr(suites, name, None)), f"kostka.verify.{name} is gone"
+
+
+def test_pinned_suite_totals_hold():
+    # the benchmark refuses a run whose totals differ from these pins; a change that moves one fails here first
+    workloads = load_perfbench("workloads")
+    reports = kostka.run_standard_suites(workloads.VERIFY_MAX_N)
+    assert [(r.name, r.checked) for r in reports] == list(workloads.VERIFY_SUITES)
+    assert all(r.ok for r in reports)
 
 
 def test_traced_parameters_remain():

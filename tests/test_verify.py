@@ -120,8 +120,8 @@ class TestFaultInjection:
         # transfer (2,) -> (1,1) appears to shrink the count, in total and per class
         real = kostka.verify.content_census
 
-        def census(shape, max_entry):
-            found = real(shape, max_entry)
+        def census(shape, caps):
+            found = real(shape, caps)
             if shape == SkewShape((2,)):
                 del found[(1, 1)]
             return found
@@ -140,8 +140,8 @@ class TestFaultInjection:
         # compare fillings of different classes
         real = kostka.verify.content_census
 
-        def census(shape, max_entry):
-            found = real(shape, max_entry)
+        def census(shape, caps):
+            found = real(shape, caps)
             if shape == SkewShape((3,)):
                 found[(1, 1, 1)] = [(3, 1, 2)]
             return found
@@ -163,8 +163,8 @@ class TestFaultInjection:
         # class for the pair 2, 3 also holds the filling 1 3 of (1,0,1), so mu leads by 2
         real = kostka.verify.content_census
 
-        def census(shape, max_entry):
-            found = real(shape, max_entry)
+        def census(shape, caps):
+            found = real(shape, caps)
             if shape == SkewShape((2,)):
                 found[(1, 1)] = found[(1, 1)] * 3
             return found
@@ -261,20 +261,40 @@ class TestBoundedContentFamily:
 class TestContentCensus:
     def test_totals_match_full_enumeration(self):
         shape = SkewShape((3, 2), (1,))
-        census = content_census(shape, 4)
+        census = content_census(shape, (4,) * 4)
         total = sum(len(v) for v in census.values())
         assert total == sum(1 for _ in iter_semistandard(shape, 4))
 
     def test_keys_are_observed_contents(self):
-        census = content_census(SkewShape((2, 1)), 3)
+        census = content_census(SkewShape((2, 1)), (3,) * 3)
         assert census[(1, 1, 1)] == [bytes((1, 2, 3)), bytes((1, 3, 2))]  # reading words, lexicographic
         assert (2, 1) in census and (1, 2) in census
         assert (3,) not in census  # three equal entries cannot fill (2, 1)
 
     def test_entries_above_255_stay_tuples(self):
-        census = content_census(SkewShape((1,)), 300)
+        census = content_census(SkewShape((1,)), (1,) * 300)
         assert census[(0,) * 299 + (1,)] == [(300,)]
         assert census[(1,)] == [(1,)]
+
+    def test_adjacent_transfer_cap_drops_only_words_with_two_top_entries(self):
+        # words holding m+2 twice or more, and only those, leave the census, in order
+        shapes = [SkewShape(lam) for m in range(6) for lam in partitions_of(m)] + canonical_box_skew_shapes(4, 4, 4)
+        for shape in shapes:
+            m = shape.size
+            uncapped = content_census(shape, (m,) * (m + 2))
+            expected = {}
+            for mu, words in uncapped.items():
+                kept = [w for w in words if w.count(m + 2) < 2]
+                if kept:
+                    expected[mu] = kept
+            assert content_census(shape, (m,) * (m + 1) + (1,)) == expected, shape
+
+    def test_adjacent_transfer_reads_no_capped_word(self, monkeypatch):
+        runs = [(5,), (4, True)]
+        capped = [(r.checked, r.violations) for r in (verify_adjacent_transfer(*args) for args in runs)]
+        real = kostka.verify.content_census
+        monkeypatch.setattr(kostka.verify, "content_census", lambda shape, caps: real(shape, (shape.size,) * len(caps)))
+        assert [(r.checked, r.violations) for r in (verify_adjacent_transfer(*args) for args in runs)] == capped
 
 
 class TestReporting:
