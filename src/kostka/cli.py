@@ -7,7 +7,8 @@ Each subcommand handler reads the parsed arguments and returns one payload dict,
 rendered as JSON, and the lines of its line-oriented format (text, or csv for
 matrix); main() alone prints one or the other, adds the subcommand first in each
 JSON payload as "command", and prints each CliError as "error: FLAG: MESSAGE".
-matrix returns KostkaMatrix's rendering as one string, with an empty payload.
+matrix returns KostkaMatrix's rendering with an empty payload: its text lines one
+at a time, csv or json as one string.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import argparse
 import json
 import sys
 from concurrent.futures import BrokenExecutor
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .engine import kostka_matrix, kostka_number
 from .partitions import (
@@ -31,16 +32,17 @@ from .partitions import (
     partition,
     transfer_target,
 )
-from .tableaux import SkewShape, enumerate_ssyt
-from .transfer_classes import count_in_class, signature_census
+from .tableaux import SkewShape, semistandard_words
+from .transfer_classes import ClassSignature, count_in_class, masked_word
 from .verify import run_standard_suites
 
-Output = tuple[dict, list[str]]
+Output = tuple[dict, Iterable[str]]
 # kostka_matrix time grows about 3x per +2 in n. On 2 CPUs n=20 took 10-14 s, with peak RSS 25 MB for csv,
-# 34 MB for text and 40 MB for json; n=22 took 31-44 s, with 38 MB for csv, 65 MB for text and 67 MB for json
+# 22 MB for text and 40 MB for json; n=22 took 28-44 s, with 38 MB for csv, 32 MB for text and 67 MB for json
 MAX_MATRIX_N = 24
-# classes enumerates K(shape, mu) + K(shape, nu) fillings; two-row shapes are slowest per filling, and near
-# 2,000 fillings (10,10) took 5 s, (12,12) 23 s on 2 CPUs; dead ends of the enumerator are not bounded by it
+# classes enumerates K(shape, mu) + K(shape, nu) fillings; two-row shapes are slowest per filling. Near 2,000
+# fillings, on 2 CPUs, (10,10) took 3-5 s and (12,12) 9-25 s, most of it in the enumerator's dead ends, which
+# the cap does not bound: a (14,14) request with 1,818 fillings ran past 2 minutes
 MAX_CLASSES_FILLINGS = 2000
 # verify time grows about 7x per +1 in max_n; on 2 CPUs (median of 3 runs) max_n=7 took 1.7 s, max_n=8 12.4 s and 48 MB peak RSS
 MAX_VERIFY_N = 8
@@ -92,9 +94,11 @@ def _compute(args: argparse.Namespace) -> Output:
 def _matrix(args: argparse.Namespace) -> Output:
     _check_size("--n", args.n, MAX_MATRIX_N)
     matrix = kostka_matrix(args.n)
-    # the table of strings is most of a large matrix's memory, so each format renders straight to text
-    render = {"text": matrix.to_text, "csv": matrix.to_csv, "json": matrix.to_json}[args.fmt]
-    return {}, [render().removesuffix("\n")]
+    # the table of strings is most of a large matrix's memory, so text goes out one line at a time,
+    # and csv and json render straight to one string
+    if args.fmt == "text":
+        return {}, matrix.text_lines()
+    return {}, [(matrix.to_csv() if args.fmt == "csv" else matrix.to_json()).removesuffix("\n")]
 
 
 def _move_json(move) -> dict:
@@ -145,11 +149,13 @@ def _classes(args: argparse.Namespace) -> Output:
     fillings = kostka_number(shape, mu) + kostka_number(shape, nu)
     if fillings > MAX_CLASSES_FILLINGS:
         raise CliError("--mu", f"at most {MAX_CLASSES_FILLINGS} fillings of mu and nu are supported, got {fillings}")
-    mu_fillings = enumerate_ssyt(shape, mu)
-    nu_fillings = enumerate_ssyt(shape, nu)
+    # mu and nu both total the cell count, so as caps they fix the content
+    mu_keys = [masked_word(word, index) for word in semistandard_words(shape, mu)]
+    nu_keys = [masked_word(word, index) for word in semistandard_words(shape, nu)]
     # within one shape the skeleton fixes the rest of the signature, so it orders the classes alone
-    signatures = sorted(signature_census(shape, mu_fillings + nu_fillings, index), key=lambda s: s.skeleton)
-    mu_total, nu_total = len(mu_fillings), len(nu_fillings)
+    signatures = [ClassSignature.from_key(shape, key, index) for key in {*mu_keys, *nu_keys}]
+    signatures.sort(key=lambda s: s.skeleton)
+    mu_total, nu_total = len(mu_keys), len(nu_keys)
     lines = [
         f"shape={format_parts(shape.outer)} inner={format_parts(shape.inner)} "
         f"mu={format_parts(mu)} index={index} nu={format_parts(nu)}"

@@ -21,7 +21,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
-from typing import MutableMapping, Sequence
+from typing import Iterator, MutableMapping, Sequence
 
 from .partitions import Parts, format_parts, partition, partitions_of
 from .tableaux import SkewShape
@@ -170,8 +170,8 @@ class KostkaMatrix:
     def value(self, lam: Sequence[int], mu: Sequence[int]) -> int:
         return self.values[self._index[partition(lam)]][self._index[partition(mu)]]
 
-    def to_text(self) -> str:
-        """Partitions label rows and columns; cells right-aligned, two spaces apart; no final newline."""
+    def text_lines(self) -> Iterator[str]:
+        """The lines of to_text, header first, then one per row, each built only when asked for."""
         labels = [format_parts(p) for p in self.partitions]
         # entries are non-negative, so a column's longest number is its largest
         widths = [max(map(len, labels), default=0)]
@@ -180,8 +180,13 @@ class KostkaMatrix:
         def line(cells: list[str]) -> str:
             return "  ".join(map(str.rjust, cells, widths)).rstrip()
 
-        rows = (line([label, *map(str, row)]) for label, row in zip(labels, self.values))
-        return "\n".join([line(["", *labels]), *rows])
+        yield line(["", *labels])
+        for label, row in zip(labels, self.values):
+            yield line([label, *map(str, row)])
+
+    def to_text(self) -> str:
+        """Partitions label rows and columns; cells right-aligned, two spaces apart; no final newline."""
+        return "\n".join(self.text_lines())
 
     def to_csv(self) -> str:
         """Header row and column hold the partitions in the comma grammar."""

@@ -148,29 +148,35 @@ def apply_move(mu: Sequence[int], move: CoverMove) -> Parts:
     return partition(full_transfer_chain(mu, move)[-1])
 
 
-def covers(mu: Sequence[int]) -> list[tuple[CoverMove, Parts]]:
-    """Partitions covered by mu in dominance order, each paired with its box move.
+def _cover_moves(mu: Parts, i: int) -> list[CoverMove]:
+    """The moves that take one unit off part i of mu to reach a partition mu covers.
 
     Each part mu_i >= 2 gives at most one cover (Brylawski 1973). With j the first
     index past the run of parts equal to mu_i - 1 after i, an empty run and
-    mu_{i+1} <= mu_i - 2 give the row move i -> i+1, and a non-empty run and
-    mu_j = mu_i - 2 the column move i -> j. Distinct parts give distinct targets,
-    so none repeats, and the move of both kinds (j = i+1, mu_j = mu_i - 2) is
-    annotated as the row move. Listed by decreasing i: reverse-lex order of target.
+    mu_{i+1} <= mu_i - 2 give the row move i -> i+1, and mu_j = mu_i - 2 the column
+    move i -> j. Both hold when j = i+1 and mu_j = mu_i - 2; the row move comes first.
+    """
+    top = part_at(mu, i)
+    if top < 2:
+        return []
+    j = i + 1
+    while part_at(mu, j) == top - 1:
+        j += 1
+    fits = {ROW: j == i + 1 and part_at(mu, j) <= top - 2, COLUMN: part_at(mu, j) == top - 2}
+    return [CoverMove(kind, i, j) for kind, fit in fits.items() if fit]
+
+
+def covers(mu: Sequence[int]) -> list[tuple[CoverMove, Parts]]:
+    """Partitions covered by mu in dominance order, each paired with its box move.
+
+    Each part gives at most one cover (see _cover_moves); distinct parts give
+    distinct targets, so none repeats, and the move of both kinds is annotated as
+    the row move. Listed by decreasing i: reverse-lex order of target.
     """
     mu = partition(mu)
-    moves = []
-    for i, top in enumerate(mu, start=1):
-        if top < 2:
-            break
-        j = i + 1
-        while part_at(mu, j) == top - 1:
-            j += 1
-        if j == i + 1 and part_at(mu, j) <= top - 2:
-            moves.append(CoverMove(ROW, i, j))
-        elif j > i + 1 and part_at(mu, j) == top - 2:
-            moves.append(CoverMove(COLUMN, i, j))
-    return [(move, apply_move(mu, move)) for move in reversed(moves)]
+    # parts of 1 come last and move nowhere
+    moves = [found[0] for i in range(len(mu) - mu.count(1), 0, -1) if (found := _cover_moves(mu, i))]
+    return [(move, apply_move(mu, move)) for move in moves]
 
 
 def cover_chain(mu: Sequence[int], nu: Sequence[int]) -> list[Parts]:
@@ -203,28 +209,16 @@ def cover_chain(mu: Sequence[int], nu: Sequence[int]) -> list[Parts]:
 def full_transfer_chain(mu: Sequence[int], move: CoverMove) -> list[Parts]:
     """The whole chain mu, intermediates, target for a cover move, padded to equal width.
 
-    Validates the move's preconditions. Each step is one transfer_target: a row
+    The move must be one that covers lists for mu, or the column move of both
+    kinds; anything else raises ValueError. Each step is one transfer_target: a row
     move i -> i+1 is one step, and a column move i -> j passes the unit on from
     part k to part k+1 for k = i, ..., j-1, so its k-th intermediate is mu with
     one unit moved from part i to part k.
     """
     mu = partition(mu)
+    if move not in _cover_moves(mu, move.i):
+        raise ValueError(f"{move} is not a cover move of {display_parts(mu)}")
     i, j = move.i, move.j
-    if move.kind == ROW:
-        if j != i + 1:
-            raise ValueError(f"row moves go to the next row, got i={i}, j={j}")
-        if i < 1 or part_at(mu, i) < part_at(mu, i + 1) + 2:
-            raise ValueError(f"row move needs part i at least part i+1 plus 2 at i={i} in {mu}")
-    elif move.kind == COLUMN:
-        if not 1 <= i < j:
-            raise ValueError(f"column move needs 1 <= i < j, got i={i}, j={j}")
-        top = part_at(mu, i)
-        if top < 2 or part_at(mu, j) != top - 2:
-            raise ValueError(f"column move needs part j equal to part i minus 2 at i={i}, j={j} in {mu}")
-        if any(part_at(mu, k) != top - 1 for k in range(i + 1, j)):
-            raise ValueError(f"column move needs parts strictly between {i} and {j} equal to {top - 1} in {mu}")
-    else:
-        raise ValueError(f"unknown move kind {move.kind!r}")
     chain = [mu]
     for k in range(i, j):
         chain.append(transfer_target(chain[-1], k))

@@ -139,9 +139,12 @@ def semistandard_words(shape: SkewShape, caps: Sequence[int]) -> Iterator[tuple[
     Caps that total the cell count fix the content exactly. Backtracking runs over
     the cells in row-major order with ascending candidates, so the words come out
     in lexicographic order; it is a loop over cell positions, not a recursion, so
-    long shapes cannot exhaust the stack.
+    long shapes cannot exhaust the stack. Bad caps raise ValueError at the call.
     """
-    caps = composition(caps)  # rejects negative or non-integer caps
+    return _words(shape, composition(caps))  # composition rejects negative or non-integer caps
+
+
+def _words(shape: SkewShape, caps: Parts) -> Iterator[tuple[int, ...]]:
     top = len(caps)
     cells, left, up = _neighbours(shape)
     n = len(cells)
@@ -191,8 +194,8 @@ def enumerate_ssyt(shape: SkewShape, content: Sequence[int]) -> list[Tableau]:
 
 
 def iter_semistandard(shape: SkewShape, max_entry: int) -> Iterator[Tableau]:
-    """Lazily enumerate every semistandard filling with entries in 1..max_entry."""
+    """Lazily enumerate every semistandard filling with entries in 1..max_entry; a negative one raises at the call."""
     if max_entry < 0:
         raise ValueError(f"max_entry must be non-negative, got {max_entry}")
     # a cap of the cell count never binds, so these caps bound only which entries appear
-    yield from _tableaux(shape, semistandard_words(shape, (shape.size,) * max_entry))
+    return _tableaux(shape, semistandard_words(shape, (shape.size,) * max_entry))

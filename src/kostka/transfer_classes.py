@@ -11,7 +11,7 @@ inequality provable class by class.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -39,6 +39,31 @@ class ClassSignature:
     paired_columns: int
     row_counts: tuple[int, ...]
 
+    @classmethod
+    def from_key(cls, shape: SkewShape, key: Sequence[int], index: int) -> ClassSignature:
+        """The signature of the class whose fillings of shape have the masked reading word key.
+
+        key is masked_word of a semistandard filling's reading word for index, as a
+        tuple or bytes. Asserts the structural facts every class of a semistandard
+        witness satisfies: at most two available cells per column, and consecutive
+        singleton columns within a row.
+        """
+        cells = shape.cells()
+        skeleton = tuple((cell, e) for cell, e in zip(cells, key) if e)
+        available = tuple(cell for cell, e in zip(cells, key) if not e)
+        per_column = Counter(c for _, c in available)
+        assert max(per_column.values(), default=0) <= 2, "a column of a semistandard tableau holds at most two of i, i+1"
+        row_counts = [0] * shape.n_rows
+        last = 0
+        # available is row-major, so each row's singleton columns arrive in increasing order, one row after another
+        for r, c in available:
+            if per_column[c] == 1:
+                assert not row_counts[r - 1] or last == c - 1, "singleton columns of one row must be consecutive"
+                row_counts[r - 1] += 1
+                last = c
+        paired = len(per_column) - sum(row_counts)
+        return cls(shape, index, skeleton, available, paired, tuple(row_counts))
+
     def render_skeleton(self) -> str:
         """Rows of the shape with fixed entries shown, available cells as '*', gaps as '.'."""
         fixed = dict(self.skeleton)
@@ -55,42 +80,13 @@ class ClassSignature:
 def signature_of(t: Tableau, index: int) -> ClassSignature:
     """The class signature of a semistandard tableau for the entry pair index, index+1.
 
-    Raises ValueError for a non-semistandard filling or index < 1. Asserts the
-    structural facts every class of a semistandard witness satisfies: at most two
-    available cells per column, and consecutive singleton columns within a row.
+    Raises ValueError for a non-semistandard filling or index < 1.
     """
     if index < 1:
         raise ValueError(f"index must be at least 1, got {index}")
     if not is_semistandard(t):
         raise ValueError("signatures are defined for semistandard tableaux only")
-    cells = t.shape.cells()
-    key = masked_word(t.reading_word(), index)
-    skeleton = tuple((cell, e) for cell, e in zip(cells, key) if e)
-    available = tuple(cell for cell, e in zip(cells, key) if not e)
-    rows_by_column: dict[int, list[int]] = defaultdict(list)
-    for r, c in available:
-        rows_by_column[c].append(r)
-    paired = 0
-    singles_by_row: dict[int, list[int]] = defaultdict(list)
-    for c, rows in rows_by_column.items():
-        assert len(rows) <= 2, "a column of a semistandard tableau holds at most two of i, i+1"
-        if len(rows) == 2:
-            paired += 1
-        else:
-            singles_by_row[rows[0]].append(c)
-    row_counts = [0] * t.shape.n_rows
-    # available is row-major, so each row's singleton columns arrive in increasing order
-    for r, cols in singles_by_row.items():
-        assert cols[-1] - cols[0] + 1 == len(cols), "singleton columns of one row must be consecutive"
-        row_counts[r - 1] = len(cols)
-    return ClassSignature(
-        shape=t.shape,
-        index=index,
-        skeleton=skeleton,
-        available=available,
-        paired_columns=paired,
-        row_counts=tuple(row_counts),
-    )
+    return ClassSignature.from_key(t.shape, masked_word(t.reading_word(), index), index)
 
 
 def masked_word(word: Sequence[int], index: int) -> tuple[int, ...] | bytes:

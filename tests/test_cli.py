@@ -83,7 +83,9 @@ class TestMatrix:
         tables = [(0, (), ()), (2, ((2,), (1, 1)), ((1, 123456), (0, 1))), (9, ((9,),), ((10**30,),))]
         for n, partitions, values in tables:
             labels = [kostka.format_parts(p) for p in partitions]
-            assert KostkaMatrix(n, partitions, values).to_text() == "\n".join(table_layout(labels, values))
+            m = KostkaMatrix(n, partitions, values)
+            assert m.to_text() == "\n".join(table_layout(labels, values))
+            assert "\n".join(m.text_lines()) == m.to_text()
 
     def test_csv_n3(self, capsys):
         code, out, _ = run(capsys, "matrix", "--n", "3", "--format", "csv")
@@ -376,7 +378,7 @@ class TestMalformedInput:
         def refuse(*args):
             raise AssertionError("no filling may be enumerated")
 
-        monkeypatch.setattr(kostka.cli, "enumerate_ssyt", refuse)
+        monkeypatch.setattr(kostka.cli, "semistandard_words", refuse)
         mu = ",".join(["2"] + ["1"] * 26)
         code, out, err = run(capsys, "classes", "--shape", "14,14", "--mu", mu, "--index", "1")
         assert (code, out) == (2, "")

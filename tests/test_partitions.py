@@ -277,6 +277,38 @@ class TestApplyMove:
         with pytest.raises(ValueError):
             apply_move((2, 1), CoverMove("diag", 1, 2))
 
+    def test_accepts_exactly_the_moves_meeting_the_box_move_preconditions(self):
+        # the preconditions of a cover move, stated directly: a row move needs a gap of 2 to the next row; a column
+        # move needs i < j, part j equal to part i minus 2 and every part between equal to part i minus 1
+        def legal(mu, move):
+            i, j = move.i, move.j
+            if move.kind == ROW:
+                return j == i + 1 and i >= 1 and part_at(mu, i) >= part_at(mu, i + 1) + 2
+            top = part_at(mu, i)
+            return (
+                1 <= i < j
+                and top >= 2
+                and part_at(mu, j) == top - 2
+                and all(part_at(mu, k) == top - 1 for k in range(i + 1, j))
+            )
+
+        for n in range(9):
+            for mu in partitions_of(n):
+                for kind in (ROW, COLUMN):
+                    for i in range(len(mu) + 2):
+                        for j in range(i + 1, len(mu) + 3):
+                            move = CoverMove(kind, i, j)
+                            if legal(mu, move):
+                                # one box leaves row i for row j
+                                box = list(mu) + [0] * (j - len(mu))
+                                box[i - 1] -= 1
+                                box[j - 1] += 1
+                                assert full_transfer_chain(mu, move)[-1] == tuple(box)
+                                assert apply_move(mu, move) == partition(box)
+                            else:
+                                with pytest.raises(ValueError, match=re.escape(str(move))):
+                                    apply_move(mu, move)
+
 
 class TestCoverChain:
     def test_frozen_chains(self):

@@ -253,6 +253,14 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             list(iter_semistandard(SkewShape((2,)), -1))
 
+    def test_bad_bounds_raise_at_the_call(self):
+        # neither call is iterated: a caller that builds one and passes it on sees the error where it was built
+        shape = SkewShape((2,))
+        with pytest.raises(ValueError):
+            semistandard_words(shape, (-1,))
+        with pytest.raises(ValueError):
+            iter_semistandard(shape, -1)
+
     def test_word_content(self):
         assert word_content((1, 3, 3)) == (1, 0, 2)
         assert word_content(()) == ()

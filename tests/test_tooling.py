@@ -124,3 +124,22 @@ def test_every_cache_is_bounded():
                 if any(not (isinstance(size, ast.Constant) and type(size.value) is int) for size in sizes):
                     unbounded.append(f"{path.name}:{node.lineno} lru_cache without a finite maxsize")
     assert not unbounded, "unbounded caches: " + ", ".join(unbounded)
+
+
+def test_internal_paths_build_no_tableaux():
+    # the CLI, the verifiers and the engine work on reading words; Tableau objects are for API callers only
+    tableau_names = {"Tableau", "enumerate_ssyt", "iter_semistandard", "signature_of", "signature_census"}
+    used = []
+    for name in ("cli.py", "verify.py", "engine.py"):
+        path = ROOT / "src" / "kostka" / name
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name):
+                names = {node.id}
+            elif isinstance(node, ast.Attribute):
+                names = {node.attr}
+            elif isinstance(node, ast.alias):
+                names = {node.name, node.asname}
+            else:
+                continue
+            used += [f"{name}:{node.lineno} {n}" for n in sorted(names & tableau_names)]
+    assert not used, "tableaux built on an internal path: " + ", ".join(used)

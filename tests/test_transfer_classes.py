@@ -5,6 +5,7 @@ from collections import Counter, defaultdict
 import pytest
 
 from kostka import (
+    ClassSignature,
     SizeMismatchError,
     SkewShape,
     Tableau,
@@ -143,14 +144,17 @@ class TestMaskedWord:
         for shape in shapes:
             tableaux = list(iter_semistandard(shape, shape.size + 1))
             for index in range(1, 5):
+                signatures = [signature_of(t, index) for t in tableaux]
                 by_signature = defaultdict(set)
-                for t in tableaux:
-                    by_signature[signature_of(t, index)].add(t.rows)
+                for t, sig in zip(tableaux, signatures):
+                    by_signature[sig].add(t.rows)
                 expected = sorted(map(sorted, by_signature.values()))
                 for pack in (tuple, bytes):
                     by_key = defaultdict(set)
-                    for t in tableaux:
-                        by_key[masked_word(pack(t.reading_word()), index)].add(t.rows)
+                    for t, sig in zip(tableaux, signatures):
+                        key = masked_word(pack(t.reading_word()), index)
+                        assert ClassSignature.from_key(shape, key, index) == sig
+                        by_key[key].add(t.rows)
                     assert sorted(map(sorted, by_key.values())) == expected
 
 
