@@ -145,9 +145,13 @@ def semistandard_words(shape: SkewShape, caps: Sequence[int]) -> Iterator[tuple[
 
 
 def _words(shape: SkewShape, caps: Parts) -> Iterator[tuple[int, ...]]:
-    top = len(caps)
     cells, left, up = _neighbours(shape)
     n = len(cells)
+    # a cell with b cells below it in its column needs b larger entries there, so it takes at most len(caps) - b
+    highest = [len(caps)] * n
+    for k in range(n - 1, -1, -1):
+        if up[k] >= 0:
+            highest[up[k]] = highest[k] - 1
     # copies of each entry still allowed
     remaining = [0, *caps]
     # a missing neighbour (-1) reads the last slot of values, which stays 0
@@ -157,6 +161,7 @@ def _words(shape: SkewShape, caps: Parts) -> Iterator[tuple[int, ...]]:
         if k == n:
             yield tuple(values[:n])
         else:
+            top = highest[k]
             while v <= top and not remaining[v]:
                 v += 1
             if v <= top:

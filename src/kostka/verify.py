@@ -95,26 +95,26 @@ def _suite(name: str) -> Callable[[Callable[..., Checks]], Callable[..., Report]
     return decorate
 
 
-def canonical_box_skew_shapes(max_rows: int, max_cols: int, max_cells: int) -> list[SkewShape]:
-    """Translation-canonical skew shapes in a max_rows x max_cols box with 1..max_cells cells.
+def canonical_box_skew_shapes(max_rows: int, max_cells: int) -> list[SkewShape]:
+    """Translation-canonical skew shapes with 1..max_cells cells in a box max_rows high and max_cells wide.
 
     Canonical means the first row holds a cell and the inner partition is strictly
     shorter than the outer one (so the last row does too and the shape is flush
     left); shapes equal up to shifting the whole cell set are enumerated once.
 
-    With max_cols >= max_cells the family is complete for counting purposes: any
-    skew shape with at most max_rows rows and max_cells cells has the same filling
-    counts as a member. Translations preserve counts, and when two row blocks
-    share no column, sliding the upper block horizontally is a content-preserving
-    bijection on fillings; sliding every gap to its minimum leaves each row
-    starting at most one column past the previous row's end, so the whole shape
-    spans at most max_cells columns.
+    The family is complete for counting purposes: any skew shape with at most
+    max_rows rows and max_cells cells has the same filling counts as a member.
+    Translations preserve counts, and when two row blocks share no column, sliding
+    the upper block horizontally is a content-preserving bijection on fillings;
+    sliding every gap to its minimum leaves each row starting at most one column
+    past the previous row's end, so the whole shape spans at most max_cells
+    columns. A wider box would add only shapes equivalent to members.
     """
     shapes = []
     # inners are listed once per size for the widest outer; the first row must keep a cell
-    inners = [partitions_of(size, max_part=max_cols - 1) for size in range(max_rows * max_cols)]
-    for outer_size in range(1, max_rows * max_cols + 1):
-        for outer in partitions_of(outer_size, max_part=max_cols):
+    inners = [partitions_of(size, max_part=max_cells - 1) for size in range(max_rows * max_cells)]
+    for outer_size in range(1, max_rows * max_cells + 1):
+        for outer in partitions_of(outer_size, max_part=max_cells):
             if len(outer) > max_rows:
                 continue
             for inner_size in range(max(0, outer_size - max_cells), outer_size):
@@ -133,7 +133,7 @@ def _shapes(max_cells: int, include_skew: bool) -> Iterator[SkewShape]:
         for lam in partitions_of(m):
             yield SkewShape(lam)
     if include_skew:
-        yield from canonical_box_skew_shapes(4, max_cells, max_cells)
+        yield from canonical_box_skew_shapes(4, max_cells)
 
 
 def _label(shape: SkewShape) -> str:
@@ -227,15 +227,15 @@ def _brute_bounded_counts(caps: tuple[int, ...]) -> Counter:
 
 
 @_suite("bounded-counts")
-def verify_bounded_counts(max_len: int = 4, max_entry: int = 4) -> Checks:
+def verify_bounded_counts() -> Checks:
     """count_bounded_compositions vs brute force, plus symmetry, peak monotonicity, and the split.
 
-    Runs every cap vector with up to max_len coordinates, each at most max_entry,
-    and every total in [-1, m+1] where m is the cap sum. Monotonicity is the
+    One fixed family, 108,825 checks: every cap vector with up to 4 coordinates, each at
+    most 4, and every total in [-1, m+1] where m is the cap sum. Monotonicity is the
     farther-from-m/2 comparison, checked for every ordered pair of totals.
     """
-    for r in range(max_len + 1):
-        for caps in product(range(max_entry + 1), repeat=r):
+    for r in range(5):
+        for caps in product(range(5), repeat=r):
             m = sum(caps)
             totals = range(-1, m + 2)
             counts = {a: count_bounded_compositions(caps, a) for a in totals}

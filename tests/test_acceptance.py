@@ -66,7 +66,7 @@ class TestAcceptance:
         assert report.ok
 
     def test_04_bounded_counts(self):
-        report = verify_bounded_counts(max_len=4, max_entry=4)
+        report = verify_bounded_counts()
         ok = report.ok and report.elapsed < 10
         announce(4, ok, f"bounded composition counts (brute force, symmetry, peak monotonicity, "
                         f"split): checked={report.checked} violations={len(report.violations)} "

@@ -1,5 +1,6 @@
 """Skew shapes, tableaux, semistandardness, and the enumeration oracle."""
 
+import math
 from itertools import product, zip_longest
 
 import pytest
@@ -125,7 +126,7 @@ class TestSemistandard:
     def test_every_small_filling_against_the_definition(self):
         # straight shapes up to 5 cells, skew shapes in a 3x4 box, and shapes with a cell-free first row
         shapes = {SkewShape(lam) for m in range(6) for lam in partitions_of(m)}
-        shapes |= set(canonical_box_skew_shapes(3, 4, 4))
+        shapes |= set(canonical_box_skew_shapes(3, 4))
         shapes |= {SkewShape((2, 2, 1), (2, 1)), SkewShape((3, 3, 1), (3,))}
         fillings = rejected = 0
         for shape in shapes:
@@ -237,7 +238,7 @@ class TestEnumeration:
 
     def test_caps_bound_each_entry(self):
         # the words are the semistandard fillings, found by brute force, whose content fits under the caps, in order
-        shapes = [SkewShape(lam) for m in range(6) for lam in partitions_of(m)] + canonical_box_skew_shapes(3, 4, 4)
+        shapes = [SkewShape(lam) for m in range(6) for lam in partitions_of(m)] + canonical_box_skew_shapes(3, 4)
         for shape in shapes:
             m = shape.size
             top = max(3, m + 1)
@@ -280,3 +281,30 @@ class TestLongShapes:
     def test_long_row_two_values(self):
         # one filling per number of 1s
         assert len(list(iter_semistandard(SkewShape((1000,)), 2))) == 1001
+
+
+class TestTallColumns:
+    """A cell with b cells below it in its column takes at most len(caps) - b, so tall columns meet no dead ends."""
+
+    @pytest.mark.parametrize("k", [12, 24])
+    def test_two_columns_with_one_entry_to_spare(self, k):
+        # each column leaves out one of 1..k+1, a on the left and b on the right,
+        # and the rows weakly increase exactly when b <= a
+        words = list(semistandard_words(SkewShape((2,) * k), (k,) * (k + 1)))
+        assert len(words) == math.comb(k + 2, 2)
+        assert words == sorted(words)
+
+    def test_one_column_has_one_filling(self):
+        tabs = list(iter_semistandard(SkewShape((1,) * 30), 30))
+        assert [t.rows for t in tabs] == [tuple((e,) for e in range(1, 31))]
+
+    def test_skew_column_against_the_definition(self):
+        # a column of four cells beside a column of two, under caps with room to spare and caps that bind
+        shape = SkewShape((2, 2, 2, 2), (1, 1))
+        uncapped = [w for w in product(range(1, 6), repeat=shape.size) if semistandard_by_definition(tableau_of(shape, w))]
+        for caps in [(6,) * 5, (2,) * 4, (1, 2, 1, 2, 1), (0, 2, 2, 2, 2)]:
+            expected = [
+                w for w in uncapped
+                if all(c <= cap for c, cap in zip_longest(word_content(w), caps, fillvalue=0))
+            ]
+            assert list(semistandard_words(shape, caps)) == expected, caps

@@ -7,7 +7,8 @@ of the suite totals pinned in perfbench/workloads.py. Every function reads each 
 parameters, so no argument is accepted and silently ignored. And the package
 imports only the standard library and itself, so its runtime needs nothing else.
 No function calls itself, so deep inputs cannot exhaust the stack, and no cache
-grows without bound in a long-lived process.
+grows without bound in a long-lived process. Every verifier suite has a test that
+injects a fault into kostka.verify and runs it, so each suite is seen to fail.
 """
 
 import ast
@@ -17,7 +18,7 @@ import inspect
 import sys
 from pathlib import Path
 
-import kostka
+import kostka.verify
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -143,3 +144,26 @@ def test_internal_paths_build_no_tableaux():
                 continue
             used += [f"{name}:{node.lineno} {n}" for n in sorted(names & tableau_names)]
     assert not used, "tableaux built on an internal path: " + ", ".join(used)
+
+
+def test_every_suite_has_a_fault_test():
+    # a suite is fault-tested when one test both rebinds a name in kostka.verify and calls the suite
+    suites = {name for name in vars(kostka.verify) if name.startswith("verify_")}
+    path = ROOT / "tests" / "test_verify.py"
+    fault_tested = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if not (isinstance(node, ast.FunctionDef) and node.name.startswith("test_")):
+            continue
+        calls = [n for n in ast.walk(node) if isinstance(n, ast.Call)]
+        injects = any(
+            isinstance(call.func, ast.Attribute)
+            and call.func.attr == "setattr"
+            and getattr(call.func.value, "id", None) == "monkeypatch"
+            and call.args
+            and ast.unparse(call.args[0]) == "kostka.verify"
+            for call in calls
+        )
+        if injects:
+            fault_tested |= {getattr(call.func, "id", getattr(call.func, "attr", None)) for call in calls}
+    missing = sorted(suites - fault_tested)
+    assert not missing, "suites with no fault-injection test: " + ", ".join(missing)

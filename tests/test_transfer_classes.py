@@ -140,7 +140,7 @@ class TestMaskedWord:
         # cells and of every canonical skew shape in a 3 x 4 box with up to 4 cells,
         # keyed by its tuple word and by its bytes word
         shapes = [SkewShape(lam) for m in range(7) for lam in partitions_of(m)]
-        shapes += canonical_box_skew_shapes(3, 4, 4)
+        shapes += canonical_box_skew_shapes(3, 4)
         for shape in shapes:
             tableaux = list(iter_semistandard(shape, shape.size + 1))
             for index in range(1, 5):

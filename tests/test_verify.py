@@ -62,9 +62,9 @@ class TestSuitesClean:
         assert report.checked == sum(len(partitions_of(n)) for n in range(7))
 
     def test_bounded_counts(self):
-        report = verify_bounded_counts(3, 3)
+        report = verify_bounded_counts()
         assert report.ok
-        assert report.checked == 5710
+        assert report.checked == 108825
 
     def test_adjacent_transfer(self):
         report = verify_adjacent_transfer(4)
@@ -101,7 +101,7 @@ class TestFaultInjection:
             "count_bounded_compositions",
             lambda caps, total: count_bounded_compositions(caps, total) + (total == 2),
         )
-        report = verify_bounded_counts(2, 2)
+        report = verify_bounded_counts()
         assert not report.ok
         assert all("kind" in v for v in report.violations)
         assert {"caps": (1, 1), "total": 2, "kind": "dp", "dp": 2, "brute": 1} in report.violations
@@ -278,7 +278,7 @@ class TestContentCensus:
 
     def test_adjacent_transfer_cap_drops_only_words_with_two_top_entries(self):
         # words holding m+2 twice or more, and only those, leave the census, in order
-        shapes = [SkewShape(lam) for m in range(6) for lam in partitions_of(m)] + canonical_box_skew_shapes(4, 4, 4)
+        shapes = [SkewShape(lam) for m in range(6) for lam in partitions_of(m)] + canonical_box_skew_shapes(4, 4)
         for shape in shapes:
             m = shape.size
             uncapped = content_census(shape, (m,) * (m + 2))
@@ -394,7 +394,7 @@ class TestCanonicalSkewShapes:
     def test_small_family_exact(self):
         # translation-canonical: no shape here is a horizontal/vertical shift
         # of another, so ((2,), (1,)) is absent — it shifts to ((1,), ())
-        shapes = {(s.outer, s.inner) for s in canonical_box_skew_shapes(2, 2, 2)}
+        shapes = {(s.outer, s.inner) for s in canonical_box_skew_shapes(2, 2)}
         assert shapes == {
             ((1,), ()),
             ((2,), ()),
@@ -403,7 +403,7 @@ class TestCanonicalSkewShapes:
         }
 
     def test_membership_properties(self):
-        shapes = canonical_box_skew_shapes(4, 6, 6)
+        shapes = canonical_box_skew_shapes(4, 6)
         seen = set()
         for s in shapes:
             key = (s.outer, s.inner)
@@ -415,10 +415,10 @@ class TestCanonicalSkewShapes:
             assert s.inner[0] < s.outer[0] if s.inner else True  # first row holds a cell
 
     def test_order_matches_listing_inners_per_outer(self):
-        def reference(max_rows, max_cols, max_cells):
+        def reference(max_rows, max_cells):
             shapes = []
-            for outer_size in range(1, max_rows * max_cols + 1):
-                for outer in partitions_of(outer_size, max_part=max_cols):
+            for outer_size in range(1, max_rows * max_cells + 1):
+                for outer in partitions_of(outer_size, max_part=max_cells):
                     if len(outer) > max_rows:
                         continue
                     for inner_size in range(max(0, outer_size - max_cells), outer_size):
@@ -427,6 +427,6 @@ class TestCanonicalSkewShapes:
                                 shapes.append((outer, inner))
             return shapes
 
-        for args in [(4, 6, 6), (3, 4, 4), (2, 2, 2), (1, 3, 2)]:
+        for args in [(4, 6), (3, 4), (2, 2), (1, 2)]:
             got = [(s.outer, s.inner) for s in canonical_box_skew_shapes(*args)]
             assert got == reference(*args), args
