@@ -42,28 +42,46 @@ from .tableaux import (
     semistandard_words,
     word_content,
 )
-from .transfer_classes import (
-    ClassSignature,
-    count_in_class,
-    masked_word,
-    signature_census,
-    signature_of,
-)
-from .verify import (
-    Report,
-    bounded_content_family,
-    brute_force_covers,
-    canonical_box_skew_shapes,
-    content_census,
-    run_standard_suites,
-    verify_adjacent_transfer,
-    verify_bounded_counts,
-    verify_covers,
-    verify_monotonicity,
-    verify_oracle_equivalence,
-    verify_permutation_invariance,
-    verify_positivity,
-    verify_transfer_chains,
-)
+
+# The verifiers and the class analysis load on first use (PEP 562), so that counting
+# alone never compiles them; kostka.verify and kostka.transfer_classes load the same way.
+_LAZY = {
+    "transfer_classes": ("ClassSignature", "count_in_class", "masked_word", "signature_census", "signature_of"),
+    "verify": (
+        "Report",
+        "bounded_content_family",
+        "brute_force_covers",
+        "canonical_box_skew_shapes",
+        "content_census",
+        "run_standard_suites",
+        "verify_adjacent_transfer",
+        "verify_bounded_counts",
+        "verify_covers",
+        "verify_monotonicity",
+        "verify_oracle_equivalence",
+        "verify_permutation_invariance",
+        "verify_positivity",
+        "verify_transfer_chains",
+    ),
+}
+_HOME = {name: module for module, names in _LAZY.items() for name in names}
+# every public name, the lazy ones and the submodules included, as when all of them loaded eagerly
+__all__ = sorted({name for name in globals() if not name.startswith("_")} | _LAZY.keys() | _HOME.keys())
+
+
+def __getattr__(name: str):
+    from importlib import import_module
+
+    if name in _LAZY:
+        return import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | __all__)
 
 __version__ = "0.1.0"

@@ -7,8 +7,8 @@ Each subcommand handler reads the parsed arguments and returns one payload dict,
 rendered as JSON, and the lines of its line-oriented format (text, or csv for
 matrix); main() alone prints one or the other, adds the subcommand first in each
 JSON payload as "command", and prints each CliError as "error: FLAG: MESSAGE".
-matrix returns KostkaMatrix's rendering with an empty payload: its text lines one
-at a time, csv or json as one string.
+matrix returns KostkaMatrix's rendering with an empty payload: its text or json
+lines a row at a time, csv as one string.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import BrokenExecutor
 from typing import Callable, Iterable, Sequence
 
 from .engine import kostka_matrix, kostka_number
@@ -38,7 +37,7 @@ from .verify import run_standard_suites
 
 Output = tuple[dict, Iterable[str]]
 # kostka_matrix time grows about 3x per +2 in n. On 2 CPUs n=20 took 10-14 s, with peak RSS 25 MB for csv,
-# 22 MB for text and 40 MB for json; n=22 took 28-44 s, with 38 MB for csv, 32 MB for text and 67 MB for json
+# 22 MB for text and 20 MB for json; n=22 took 28-44 s, with 38 MB for csv, 32 MB for text and 30 MB for json
 MAX_MATRIX_N = 24
 # classes enumerates K(shape, mu) + K(shape, nu) fillings; two-row shapes are slowest per filling. Near 2,000
 # fillings, on 2 CPUs, (10,10) took 3-5 s and (12,12) 9-25 s, most of it in the enumerator's dead ends, which
@@ -94,11 +93,13 @@ def _compute(args: argparse.Namespace) -> Output:
 def _matrix(args: argparse.Namespace) -> Output:
     _check_size("--n", args.n, MAX_MATRIX_N)
     matrix = kostka_matrix(args.n)
-    # the table of strings is most of a large matrix's memory, so text goes out one line at a time,
-    # and csv and json render straight to one string
+    # the table of strings is most of a large matrix's memory, so text and json go out a row at a time,
+    # and csv renders straight to one string
     if args.fmt == "text":
         return {}, matrix.text_lines()
-    return {}, [(matrix.to_csv() if args.fmt == "csv" else matrix.to_json()).removesuffix("\n")]
+    if args.fmt == "json":
+        return {}, matrix.json_lines()
+    return {}, [matrix.to_csv().removesuffix("\n")]
 
 
 def _move_json(move) -> dict:
@@ -194,6 +195,9 @@ def _classes(args: argparse.Namespace) -> Output:
 
 
 def _verify(args: argparse.Namespace) -> Output:
+    # loaded here, not with the module: concurrent.futures brings logging, which no other command needs
+    from concurrent.futures import BrokenExecutor
+
     _check_size("--max-n", args.max_n, MAX_VERIFY_N)
     if args.parallelism < 1:
         raise CliError("--parallelism", "a positive integer is required")

@@ -17,13 +17,11 @@ strip memo, which is opaque: its keys hold packed shapes.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
-from dataclasses import dataclass, field
 from typing import Iterator, MutableMapping, Sequence
 
-from .partitions import Parts, format_parts, partition, partitions_of
+from .partitions import Parts, _Value, format_parts, partition, partitions_of
 from .tableaux import SkewShape
 
 # a strip memo: (packed shape, strip size, outer) -> the packed shapes that strip can reach
@@ -155,17 +153,21 @@ def _json_array(items: list[str], indent: int) -> str:
     return "[" + pad + ("," + pad).join(items) + "\n" + " " * indent + "]"
 
 
-@dataclass(frozen=True)
-class KostkaMatrix:
-    """The full table K(lam, mu) over all partitions of n, reverse-lexicographic order."""
+class KostkaMatrix(_Value):
+    """The full table K(lam, mu) over all partitions of n, reverse-lexicographic order.
 
+    Equality, hash and repr read n, partitions and values, not the private position index.
+    """
+
+    __slots__ = ("n", "partitions", "values", "_index")
+    _fields = ("n", "partitions", "values")
     n: int
     partitions: tuple[Parts, ...]
     values: tuple[tuple[int, ...], ...]
-    _index: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
-    def __post_init__(self) -> None:
-        self._index.update({p: k for k, p in enumerate(self.partitions)})
+    def __init__(self, n: int, partitions: tuple[Parts, ...], values: tuple[tuple[int, ...], ...]) -> None:
+        self._set(n, partitions, values)
+        object.__setattr__(self, "_index", {p: k for k, p in enumerate(partitions)})
 
     def value(self, lam: Sequence[int], mu: Sequence[int]) -> int:
         return self.values[self._index[partition(lam)]][self._index[partition(mu)]]
@@ -190,6 +192,9 @@ class KostkaMatrix:
 
     def to_csv(self) -> str:
         """Header row and column hold the partitions in the comma grammar."""
+        # csv loads here, on the one path that writes csv, rather than with the package
+        import csv
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow([""] + [format_parts(p) for p in self.partitions])
@@ -197,16 +202,31 @@ class KostkaMatrix:
             writer.writerow([format_parts(p)] + [str(v) for v in row])
         return buf.getvalue()
 
+    def json_lines(self) -> Iterator[str]:
+        """The text of to_json in whole lines, built one matrix row at a time.
+
+        The first string runs up to the matrix's opening bracket, each matrix
+        row's lines (one per entry) come as one string, and the last string
+        closes the document; joined with newlines they are to_json.
+        """
+        labels = _json_array([json.dumps(format_parts(p)) for p in self.partitions], 2)
+        head = f'{{\n  "n": {json.dumps(self.n)},\n  "partitions": {labels},\n  "matrix": ['
+        if not self.values:
+            yield head + "]\n}"
+            return
+        yield head
+        last = len(self.values) - 1
+        for k, row in enumerate(self.values):
+            # decimal digits need no escaping
+            yield "    " + _json_array([f'"{v}"' for v in row], 4) + ("," if k < last else "")
+        yield "  ]\n}"
+
     def to_json(self) -> str:
         """Counts serialize as decimal strings so arbitrary precision survives parsers.
 
-        The text is json.dumps(self.to_json_dict(), indent=2), built one row at
-        a time, so the table never exists as one string object per entry.
+        The text is json.dumps(self.to_json_dict(), indent=2), joined from json_lines.
         """
-        labels = _json_array([json.dumps(format_parts(p)) for p in self.partitions], 2)
-        # decimal digits need no escaping
-        rows = _json_array([_json_array([f'"{v}"' for v in row], 4) for row in self.values], 2)
-        return f'{{\n  "n": {json.dumps(self.n)},\n  "partitions": {labels},\n  "matrix": {rows}\n}}'
+        return "\n".join(self.json_lines())
 
     def to_json_dict(self) -> dict:
         return {

@@ -8,7 +8,6 @@ Rows and part indices are 1-based in every public docstring and error message.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterable, Sequence
 
@@ -124,8 +123,47 @@ def conjugate(p: Sequence[int]) -> Parts:
     return tuple(sum(1 for q in p if q > c) for c in range(p[0]))
 
 
-@dataclass(frozen=True)
-class CoverMove:
+class _Value:
+    """Base of the value classes: frozen, and compared, hashed and shown as Name(field=value, ...).
+
+    A subclass names its fields in _fields, in constructor order, and its __init__
+    stores them with _set, since assignment and deletion raise AttributeError. An
+    instance equals only an instance of its own class with equal fields.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        # copies and pickles rebuild through __init__, which takes the fields in order
+        return type(self), self._values()
+
+    def _frozen(self, name: str, *value) -> None:
+        raise AttributeError(f"cannot {'assign to' if value else 'delete'} field {name!r} of {type(self).__name__}")
+
+    __setattr__ = __delattr__ = _frozen
+
+
+class CoverMove(_Value):
     """One box move realizing a dominance cover, with 1-based row indices.
 
     kind "row": one box drops from row i to row i+1 (j is always i+1).
@@ -133,9 +171,13 @@ class CoverMove:
     every row strictly between holds exactly mu_i - 1 boxes.
     """
 
+    __slots__ = _fields = ("kind", "i", "j")
     kind: str
     i: int
     j: int
+
+    def __init__(self, kind: str, i: int, j: int) -> None:
+        self._set(kind, i, j)
 
     def describe(self) -> str:
         if self.kind == ROW:

@@ -10,17 +10,15 @@ where the API hands tableaux out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 from typing import Iterator, Sequence
 
-from .partitions import Parts, SizeMismatchError, composition, partition
+from .partitions import Parts, SizeMismatchError, _Value, composition, partition
 
 Cell = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class SkewShape:
+class SkewShape(_Value):
     """Cells between an inner and an outer partition.
 
     Trailing rows without cells are dropped so shapes with equal cell sets
@@ -28,12 +26,13 @@ class SkewShape:
     cell-free row still shifts the rows below it).
     """
 
+    __slots__ = _fields = ("outer", "inner")
     outer: Parts
-    inner: Parts = ()
+    inner: Parts
 
-    def __post_init__(self) -> None:
-        outer = list(partition(self.outer))
-        inner = list(partition(self.inner))
+    def __init__(self, outer: Sequence[int], inner: Sequence[int] = ()) -> None:
+        outer = list(partition(outer))
+        inner = list(partition(inner))
         if len(inner) > len(outer):
             raise ValueError(f"inner shape {tuple(inner)} has more rows than outer {tuple(outer)}")
         if any(inner[r] > outer[r] for r in range(len(inner))):
@@ -41,8 +40,7 @@ class SkewShape:
         while outer and len(inner) == len(outer) and inner[-1] == outer[-1]:
             outer.pop()
             inner.pop()
-        object.__setattr__(self, "outer", tuple(outer))
-        object.__setattr__(self, "inner", tuple(inner))
+        self._set(tuple(outer), tuple(inner))
 
     @property
     def n_rows(self) -> int:
@@ -80,25 +78,25 @@ class SkewShape:
         return out
 
 
-@dataclass(frozen=True)
-class Tableau:
+class Tableau(_Value):
     """A filling of a skew shape; rows[r-1] lists the entries of row r left to right."""
 
+    __slots__ = _fields = ("shape", "rows")
     shape: SkewShape
     rows: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        rows = tuple(tuple(row) for row in self.rows)
-        if len(rows) != self.shape.n_rows:
-            raise ValueError(f"expected {self.shape.n_rows} rows, got {len(rows)}")
+    def __init__(self, shape: SkewShape, rows: Sequence[Sequence[int]]) -> None:
+        rows = tuple(tuple(row) for row in rows)
+        if len(rows) != shape.n_rows:
+            raise ValueError(f"expected {shape.n_rows} rows, got {len(rows)}")
         for r in range(1, len(rows) + 1):
-            first, last = self.shape.row_span(r)
+            first, last = shape.row_span(r)
             if len(rows[r - 1]) != last - first + 1:
                 raise ValueError(f"row {r} needs {last - first + 1} entries, got {len(rows[r - 1])}")
             for e in rows[r - 1]:
                 if isinstance(e, bool) or not isinstance(e, int) or e < 1:
                     raise ValueError(f"entries must be positive integers, got {e!r} in row {r}")
-        object.__setattr__(self, "rows", rows)
+        self._set(shape, rows)
 
     def reading_word(self) -> tuple[int, ...]:
         """Entries row by row, top to bottom, left to right."""

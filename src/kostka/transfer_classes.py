@@ -12,17 +12,15 @@ inequality provable class by class.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
 from .counting import count_bounded_compositions
-from .partitions import composition, part_at
+from .partitions import _Value, composition, part_at
 from .tableaux import Cell, SkewShape, Tableau, is_semistandard, word_content
 
 
-@dataclass(frozen=True)
-class ClassSignature:
+class ClassSignature(_Value):
     """Everything a class keeps fixed, plus the derived per-row counts.
 
     skeleton: ((row, col), entry) for every cell whose entry is not i or i+1,
@@ -32,12 +30,24 @@ class ClassSignature:
     those columns are consecutive within the row.
     """
 
+    __slots__ = _fields = ("shape", "index", "skeleton", "available", "paired_columns", "row_counts")
     shape: SkewShape
     index: int
     skeleton: tuple[tuple[Cell, int], ...]
     available: tuple[Cell, ...]
     paired_columns: int
     row_counts: tuple[int, ...]
+
+    def __init__(
+        self,
+        shape: SkewShape,
+        index: int,
+        skeleton: tuple[tuple[Cell, int], ...],
+        available: tuple[Cell, ...],
+        paired_columns: int,
+        row_counts: tuple[int, ...],
+    ) -> None:
+        self._set(shape, index, skeleton, available, paired_columns, row_counts)
 
     @classmethod
     def from_key(cls, shape: SkewShape, key: Sequence[int], index: int) -> ClassSignature:

@@ -17,7 +17,6 @@ from __future__ import annotations
 import functools
 import time
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
 from itertools import combinations, permutations, product, takewhile
 from typing import Callable, Iterator, Sequence
 
@@ -26,6 +25,7 @@ from .engine import kostka_number
 from .partitions import (
     COLUMN,
     Parts,
+    _Value,
     adjacent_transfer_index,
     composition,
     covers,
@@ -42,14 +42,23 @@ _MAX_SHOWN = 50
 Checks = Iterator[list[dict]]
 
 
-@dataclass
-class Report:
-    """Outcome of one exhaustive check: what ran, how much, and every violation found."""
+class Report(_Value):
+    """Outcome of one exhaustive check: what ran, how much, and every violation found.
 
+    A suite fills its Report in as it runs, so a Report can change and has no hash.
+    """
+
+    __slots__ = _fields = ("name", "checked", "violations", "elapsed")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
     name: str
-    checked: int = 0
-    violations: list[dict] = field(default_factory=list)
-    elapsed: float = 0.0
+    checked: int
+    violations: list[dict]
+    elapsed: float
+
+    def __init__(self, name: str, checked: int = 0, violations: list[dict] | None = None, elapsed: float = 0.0) -> None:
+        self._set(name, checked, [] if violations is None else violations, elapsed)
 
     @property
     def ok(self) -> bool:

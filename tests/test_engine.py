@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import kostka.engine
 from kostka import (
+    KostkaMatrix,
     SizeMismatchError,
     SkewShape,
     count_bounded_compositions,
@@ -218,6 +219,9 @@ class TestKostkaMatrix:
 
     def test_json_text_is_the_dict_dumped(self):
         # to_json renders row by row; its bytes must stay those of the dict dumped whole
-        for n in range(11):
-            m = kostka_matrix(n)
+        built = [KostkaMatrix(0, (), ()), KostkaMatrix(2, ((2,), (1, 1)), ((1, 123456), (0, 1)))]
+        for m in [kostka_matrix(n) for n in range(11)] + built:
             assert m.to_json() == json.dumps(m.to_json_dict(), indent=2)
+            assert "\n".join(m.json_lines()) == m.to_json()
+        # one string up to the matrix, one per matrix row, one to close
+        assert len(list(kostka_matrix(6).json_lines())) == 11 + 2

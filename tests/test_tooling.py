@@ -5,7 +5,8 @@ skips a name it cannot find, and the metrics of that name then go missing from a
 traced run. These checks fail first instead, as they do for a change that moves one
 of the suite totals pinned in perfbench/workloads.py. Every function reads each of its
 parameters, so no argument is accepted and silently ignored. And the package
-imports only the standard library and itself, so its runtime needs nothing else.
+imports only the standard library and itself, so its runtime needs nothing else, and
+never dataclasses, whose imports would slow every start-up.
 No function calls itself, so deep inputs cannot exhaust the stack, and no cache
 grows without bound in a long-lived process. Every verifier suite has a test that
 injects a fault into kostka.verify and runs it, so each suite is seen to fail.
@@ -75,25 +76,35 @@ def test_every_parameter_is_read():
     assert not unread, "parameters never read: " + ", ".join(unread)
 
 
-def test_imports_only_the_standard_library():
-    outside = []
+def package_trees():
     for path in sorted((ROOT / "src" / "kostka").glob("*.py")):
+        yield path, ast.parse(path.read_text(), str(path))
+
+
+def package_imports():
+    """(file:line, top-level module) for each absolute import in the package."""
+    for path, tree in package_trees():
         # ast.walk reaches imports inside functions too
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and not node.level:
                 names = [node.module]
             else:
                 continue
-            tops = {name.partition(".")[0] for name in names}
-            outside += [f"{path.name}:{node.lineno} {top}" for top in sorted(tops - sys.stdlib_module_names - {"kostka"})]
+            for top in sorted({name.partition(".")[0] for name in names}):
+                yield f"{path.name}:{node.lineno}", top
+
+
+def test_imports_only_the_standard_library():
+    outside = [f"{at} {top}" for at, top in package_imports() if top not in sys.stdlib_module_names | {"kostka"}]
     assert not outside, "imports outside the standard library: " + ", ".join(outside)
 
 
-def package_trees():
-    for path in sorted((ROOT / "src" / "kostka").glob("*.py")):
-        yield path, ast.parse(path.read_text(), str(path))
+def test_no_module_imports_dataclasses():
+    # dataclasses loads inspect, ast, dis and tokenize: several ms of start-up in every fresh interpreter
+    found = [at for at, top in package_imports() if top == "dataclasses"]
+    assert not found, "dataclasses imported at: " + ", ".join(found)
 
 
 def test_no_function_calls_itself():
