@@ -35,7 +35,6 @@ from .partitions import (
 from .tableaux import (
     Cell,
     SkewShape,
-    Tableau,
     enumerate_ssyt,
     is_semistandard,
     iter_semistandard,

@@ -7,8 +7,8 @@ Each subcommand handler reads the parsed arguments and returns one payload dict,
 rendered as JSON, and the lines of its line-oriented format (text, or csv for
 matrix); main() alone prints one or the other, adds the subcommand first in each
 JSON payload as "command", and prints each CliError as "error: FLAG: MESSAGE".
-matrix returns KostkaMatrix's rendering with an empty payload: its text or json
-lines a row at a time, csv as one string.
+matrix returns KostkaMatrix's text, csv or json lines, a row at a time, with an
+empty payload. Only classes and verify load the class analysis and the verifiers.
 """
 
 from __future__ import annotations
@@ -32,8 +32,6 @@ from .partitions import (
     transfer_target,
 )
 from .tableaux import SkewShape, semistandard_words
-from .transfer_classes import ClassSignature, count_in_class, masked_word
-from .verify import run_standard_suites
 
 Output = tuple[dict, Iterable[str]]
 # kostka_matrix time grows about 3x per +2 in n. On 2 CPUs n=20 took 10-14 s, with peak RSS 25 MB for csv,
@@ -93,13 +91,8 @@ def _compute(args: argparse.Namespace) -> Output:
 def _matrix(args: argparse.Namespace) -> Output:
     _check_size("--n", args.n, MAX_MATRIX_N)
     matrix = kostka_matrix(args.n)
-    # the table of strings is most of a large matrix's memory, so text and json go out a row at a time,
-    # and csv renders straight to one string
-    if args.fmt == "text":
-        return {}, matrix.text_lines()
-    if args.fmt == "json":
-        return {}, matrix.json_lines()
-    return {}, [matrix.to_csv().removesuffix("\n")]
+    # the table of strings is most of a large matrix's memory, so every format goes out a row at a time
+    return {}, getattr(matrix, f"{args.fmt}_lines")()
 
 
 def _move_json(move) -> dict:
@@ -138,6 +131,8 @@ def _chain(args: argparse.Namespace) -> Output:
 
 
 def _classes(args: argparse.Namespace) -> Output:
+    from .transfer_classes import ClassSignature, count_in_class, masked_word
+
     shape = _parse_shape(args)
     mu = _parse("--mu", args.mu, shape.check_content)
     index = args.index
@@ -197,6 +192,8 @@ def _classes(args: argparse.Namespace) -> Output:
 def _verify(args: argparse.Namespace) -> Output:
     # loaded here, not with the module: concurrent.futures brings logging, which no other command needs
     from concurrent.futures import BrokenExecutor
+
+    from .verify import run_standard_suites
 
     _check_size("--max-n", args.max_n, MAX_VERIFY_N)
     if args.parallelism < 1:

@@ -17,7 +17,6 @@ strip memo, which is opaque: its keys hold packed shapes.
 
 from __future__ import annotations
 
-import io
 import json
 from typing import Iterator, MutableMapping, Sequence
 
@@ -190,17 +189,20 @@ class KostkaMatrix(_Value):
         """Partitions label rows and columns; cells right-aligned, two spaces apart; no final newline."""
         return "\n".join(self.text_lines())
 
+    def csv_lines(self) -> Iterator[str]:
+        """The lines of to_csv without their newlines, header first, then one per row, each built only when asked for.
+
+        The bytes are csv.writer's: a label holds only digits and commas, so it is
+        quoted exactly when it holds a comma, and a header with no labels is "".
+        """
+        labels = [f'"{label}"' if "," in label else label for label in map(format_parts, self.partitions)]
+        yield ",".join(["", *labels]) if labels else '""'
+        for label, row in zip(labels, self.values):
+            yield ",".join([label, *map(str, row)])
+
     def to_csv(self) -> str:
         """Header row and column hold the partitions in the comma grammar."""
-        # csv loads here, on the one path that writes csv, rather than with the package
-        import csv
-
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow([""] + [format_parts(p) for p in self.partitions])
-        for p, row in zip(self.partitions, self.values):
-            writer.writerow([format_parts(p)] + [str(v) for v in row])
-        return buf.getvalue()
+        return "\n".join(self.csv_lines()) + "\n"
 
     def json_lines(self) -> Iterator[str]:
         """The text of to_json in whole lines, built one matrix row at a time.

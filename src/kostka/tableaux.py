@@ -1,16 +1,15 @@
-"""Skew Young diagrams, tableaux, semistandardness, and exhaustive enumeration.
+"""Skew Young diagrams, semistandardness, and exhaustive enumeration.
 
 Cells are (row, column) pairs, both 1-based. A skew shape holds the cells of its
 outer partition that are not covered by its inner partition; a straight shape has
-an empty inner partition. Enumeration here is the slow, obviously-correct oracle;
-speed lives in the dynamic-programming engine. One backtracking loop enumerates
-fillings as flat reading words; Tableau objects are built from those words only
-where the API hands tableaux out.
+an empty inner partition. A filling of a shape is its reading word: the entries
+of its cells in row-major order, the order of cells(). Enumeration here is the
+slow, obviously-correct oracle; speed lives in the dynamic-programming engine.
+One backtracking loop enumerates fillings as reading words.
 """
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Iterator, Sequence
 
 from .partitions import Parts, SizeMismatchError, _Value, composition, partition
@@ -78,31 +77,6 @@ class SkewShape(_Value):
         return out
 
 
-class Tableau(_Value):
-    """A filling of a skew shape; rows[r-1] lists the entries of row r left to right."""
-
-    __slots__ = _fields = ("shape", "rows")
-    shape: SkewShape
-    rows: tuple[tuple[int, ...], ...]
-
-    def __init__(self, shape: SkewShape, rows: Sequence[Sequence[int]]) -> None:
-        rows = tuple(tuple(row) for row in rows)
-        if len(rows) != shape.n_rows:
-            raise ValueError(f"expected {shape.n_rows} rows, got {len(rows)}")
-        for r in range(1, len(rows) + 1):
-            first, last = shape.row_span(r)
-            if len(rows[r - 1]) != last - first + 1:
-                raise ValueError(f"row {r} needs {last - first + 1} entries, got {len(rows[r - 1])}")
-            for e in rows[r - 1]:
-                if isinstance(e, bool) or not isinstance(e, int) or e < 1:
-                    raise ValueError(f"entries must be positive integers, got {e!r} in row {r}")
-        self._set(shape, rows)
-
-    def reading_word(self) -> tuple[int, ...]:
-        """Entries row by row, top to bottom, left to right."""
-        return tuple(chain.from_iterable(self.rows))
-
-
 def _neighbours(shape: SkewShape) -> tuple[list[Cell], list[int], list[int]]:
     """The cells in row-major order, with the positions of each cell's left neighbour and of the cell above.
 
@@ -115,11 +89,19 @@ def _neighbours(shape: SkewShape) -> tuple[list[Cell], list[int], list[int]]:
     return cells, left, up
 
 
-def is_semistandard(t: Tableau) -> bool:
-    """Rows weakly increase and columns strictly increase over the present cells."""
-    _, left, up = _neighbours(t.shape)
+def is_semistandard(shape: SkewShape, word: Sequence[int]) -> bool:
+    """Whether word, read into shape's cells row by row, weakly increases along rows and strictly down columns.
+
+    Raises ValueError unless word holds one positive integer per cell.
+    """
+    if len(word) != shape.size:
+        raise ValueError(f"expected {shape.size} entries, one per cell, got {len(word)}")
+    for e in word:
+        if isinstance(e, bool) or not isinstance(e, int) or e < 1:
+            raise ValueError(f"entries must be positive integers, got {e!r}")
+    _, left, up = _neighbours(shape)
     # entries are positive, so the padding 0 a missing neighbour reads never breaks a comparison
-    word = (*t.reading_word(), 0)
+    word = (*word, 0)
     return all(word[a] <= v and word[b] < v for v, a, b in zip(word, left, up))
 
 
@@ -175,30 +157,18 @@ def _words(shape: SkewShape, caps: Parts) -> Iterator[tuple[int, ...]]:
         v = values[k] + 1
 
 
-def _tableaux(shape: SkewShape, words: Iterator[tuple[int, ...]]) -> Iterator[Tableau]:
-    bounds = []
-    k = 0
-    for r in range(1, shape.n_rows + 1):
-        first, last = shape.row_span(r)
-        bounds.append((k, k + last - first + 1))
-        k += last - first + 1
-    for word in words:
-        yield Tableau(shape, tuple(word[a:b] for a, b in bounds))
-
-
-def enumerate_ssyt(shape: SkewShape, content: Sequence[int]) -> list[Tableau]:
-    """All semistandard fillings of shape with the exact content, deterministically ordered.
+def enumerate_ssyt(shape: SkewShape, content: Sequence[int]) -> list[tuple[int, ...]]:
+    """The reading words of all semistandard fillings of shape with the exact content, in lexicographic order.
 
     content[k] is the required multiplicity of the entry k+1; zero multiplicities
-    are allowed. The total must equal the number of cells. Output is sorted
-    lexicographically by reading word.
+    are allowed. The total must equal the number of cells.
     """
-    return list(_tableaux(shape, semistandard_words(shape, shape.check_content(content))))
+    return list(semistandard_words(shape, shape.check_content(content)))
 
 
-def iter_semistandard(shape: SkewShape, max_entry: int) -> Iterator[Tableau]:
-    """Lazily enumerate every semistandard filling with entries in 1..max_entry; a negative one raises at the call."""
+def iter_semistandard(shape: SkewShape, max_entry: int) -> Iterator[tuple[int, ...]]:
+    """The reading word of each semistandard filling with entries in 1..max_entry, lazily; a negative one raises."""
     if max_entry < 0:
         raise ValueError(f"max_entry must be non-negative, got {max_entry}")
     # a cap of the cell count never binds, so these caps bound only which entries appear
-    return _tableaux(shape, semistandard_words(shape, (shape.size,) * max_entry))
+    return semistandard_words(shape, (shape.size,) * max_entry)

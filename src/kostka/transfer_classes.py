@@ -11,13 +11,13 @@ inequality provable class by class.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .counting import count_bounded_compositions
 from .partitions import _Value, composition, part_at
-from .tableaux import Cell, SkewShape, Tableau, is_semistandard, word_content
+from .tableaux import Cell, SkewShape, is_semistandard, word_content
 
 
 class ClassSignature(_Value):
@@ -87,16 +87,16 @@ class ClassSignature(_Value):
         return "\n".join(lines)
 
 
-def signature_of(t: Tableau, index: int) -> ClassSignature:
-    """The class signature of a semistandard tableau for the entry pair index, index+1.
+def signature_of(shape: SkewShape, word: Sequence[int], index: int) -> ClassSignature:
+    """The class signature of the semistandard filling of shape with reading word word, for the pair index, index+1.
 
-    Raises ValueError for a non-semistandard filling or index < 1.
+    Raises ValueError for index < 1 or a word that is not a semistandard filling of shape.
     """
     if index < 1:
         raise ValueError(f"index must be at least 1, got {index}")
-    if not is_semistandard(t):
-        raise ValueError("signatures are defined for semistandard tableaux only")
-    return ClassSignature.from_key(t.shape, masked_word(t.reading_word(), index), index)
+    if not is_semistandard(shape, word):
+        raise ValueError("signatures are defined for semistandard fillings only")
+    return ClassSignature.from_key(shape, masked_word(word, index), index)
 
 
 def masked_word(word: Sequence[int], index: int) -> tuple[int, ...] | bytes:
@@ -138,11 +138,6 @@ def count_in_class(sig: ClassSignature, target: Sequence[int]) -> int:
     return count_bounded_compositions(sig.row_counts, free_i)
 
 
-def signature_census(shape: SkewShape, tableaux: Sequence[Tableau], index: int) -> dict[ClassSignature, int]:
-    """Group a batch of semistandard tableaux of shape by class signature; another shape raises ValueError."""
-    out: dict[ClassSignature, int] = defaultdict(int)
-    for t in tableaux:
-        if t.shape != shape:
-            raise ValueError(f"signature_census groups tableaux of {shape}, got one of {t.shape}")
-        out[signature_of(t, index)] += 1
-    return dict(out)
+def signature_census(shape: SkewShape, words: Iterable[Sequence[int]], index: int) -> dict[ClassSignature, int]:
+    """Group the semistandard fillings of shape with the given reading words by class signature."""
+    return dict(Counter(signature_of(shape, word, index) for word in words))

@@ -316,14 +316,16 @@ class TestVerify:
         assert multiprocessing.active_children() == []
 
     def test_import_leaves_process_pool_unloaded(self):
-        code = "import sys, kostka; print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))"
+        # the CLI loads the verifiers and the class analysis only in the commands that use them
+        unloaded = "{'concurrent.futures.process', 'multiprocessing', 'kostka.verify', 'kostka.transfer_classes'}"
+        code = f"import sys, kostka.cli; print(sorted({unloaded} & set(sys.modules)))"
         env = dict(os.environ, PYTHONPATH=str(Path(kostka.__file__).parents[1]))
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert out.stdout == "[]\n"
 
     def test_failing_report_exit_1(self, capsys, monkeypatch):
         fake = [Report(name="demo", checked=1, violations=[{"x": 1}], elapsed=0.0)]
-        monkeypatch.setattr(kostka.cli, "run_standard_suites", lambda max_n, parallelism: fake)
+        monkeypatch.setattr(kostka.verify, "run_standard_suites", lambda max_n, parallelism: fake)
         code, out, _ = run(capsys, "verify")
         assert code == 1
         assert out.splitlines()[-1] == "total: suites=1 checked=1 violations=1 FAIL"
@@ -369,7 +371,7 @@ class TestMalformedInput:
         def refuse(*args):
             raise AssertionError("the suites must not run")
 
-        monkeypatch.setattr(kostka.cli, "run_standard_suites", refuse)
+        monkeypatch.setattr(kostka.verify, "run_standard_suites", refuse)
         code, out, err = run(capsys, "verify", "--max-n", "9")
         assert (code, out) == (2, "")
         assert err == "error: --max-n: at most 8 is supported, got 9\n"

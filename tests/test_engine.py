@@ -1,5 +1,7 @@
 """The counting engine: walk values, long contents, matrices, and strip memos."""
 
+import csv
+import io
 import json
 import random
 
@@ -15,6 +17,7 @@ from kostka import (
     count_bounded_compositions,
     dominates,
     enumerate_ssyt,
+    format_parts,
     kostka_matrix,
     kostka_number,
     partitions_of,
@@ -218,10 +221,22 @@ class TestKostkaMatrix:
         assert values == m.values
 
     def test_json_text_is_the_dict_dumped(self):
-        # to_json renders row by row; its bytes must stay those of the dict dumped whole
-        built = [KostkaMatrix(0, (), ()), KostkaMatrix(2, ((2,), (1, 1)), ((1, 123456), (0, 1)))]
+        # to_json and to_csv render row by row; their bytes must stay those of the dict dumped whole
+        # and of csv.writer
+        built = [
+            KostkaMatrix(0, (), ()),
+            KostkaMatrix(2, ((2,), (1, 1)), ((1, 123456), (0, 1))),
+            KostkaMatrix(9, ((9,),), ((10**30,),)),
+        ]
         for m in [kostka_matrix(n) for n in range(11)] + built:
             assert m.to_json() == json.dumps(m.to_json_dict(), indent=2)
             assert "\n".join(m.json_lines()) == m.to_json()
+            buf = io.StringIO()
+            writer = csv.writer(buf, lineterminator="\n")
+            labels = [format_parts(p) for p in m.partitions]
+            writer.writerow(["", *labels])
+            writer.writerows([label, *map(str, row)] for label, row in zip(labels, m.values))
+            assert m.to_csv() == buf.getvalue()
+            assert "\n".join(m.csv_lines()) + "\n" == m.to_csv()
         # one string up to the matrix, one per matrix row, one to close
         assert len(list(kostka_matrix(6).json_lines())) == 11 + 2

@@ -16,7 +16,6 @@ from kostka import (
     NotComparableError,
     SizeMismatchError,
     SkewShape,
-    Tableau,
     adjacent_transfer_index,
     apply_move,
     composition,
@@ -29,6 +28,7 @@ from kostka import (
     enumerate_ssyt,
     format_parts,
     full_transfer_chain,
+    is_semistandard,
     kostka_number,
     parse_parts,
     part_at,
@@ -92,7 +92,7 @@ class TestConstructors:
             lambda: kostka_number((True,), (True,)),
             lambda: count_bounded_compositions((True, 2), 1),
             lambda: enumerate_ssyt(SkewShape((1,)), (True,)),
-            lambda: Tableau(SkewShape((1,)), ((True,),)),
+            lambda: is_semistandard(SkewShape((1,)), (True,)),
         ],
         ids=["partition", "composition", "kostka_number", "bounded_caps", "ssyt_content", "tableau_entry"],
     )

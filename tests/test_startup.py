@@ -18,11 +18,11 @@ import pytest
 import kostka
 
 SRC = str(Path(kostka.__file__).parents[1])
-# the names `import kostka` gave when it loaded every submodule eagerly
+# every public name of the package, the lazily loaded ones and the submodules included
 PUBLIC = set(
     """
     COLUMN Cell ClassSignature CoverMove KostkaMatrix NotComparableError Parts ROW Report SizeMismatchError
-    SkewShape Tableau adjacent_transfer_index apply_move bounded_content_family brute_force_covers
+    SkewShape adjacent_transfer_index apply_move bounded_content_family brute_force_covers
     canonical_box_skew_shapes composition conjugate content_census count_bounded_compositions count_in_class
     counting cover_chain covers display_parts dominates engine enumerate_ssyt format_parts full_transfer_chain
     is_semistandard iter_semistandard kostka_matrix kostka_number masked_word parse_parts part_at partition

@@ -1,4 +1,4 @@
-"""Skew shapes, tableaux, semistandardness, and the enumeration oracle."""
+"""Skew shapes, fillings as reading words, semistandardness, and the enumeration oracle."""
 
 import math
 from itertools import product, zip_longest
@@ -8,7 +8,6 @@ import pytest
 from kostka import (
     SizeMismatchError,
     SkewShape,
-    Tableau,
     canonical_box_skew_shapes,
     count_in_class,
     enumerate_ssyt,
@@ -23,24 +22,12 @@ from kostka import (
 from kostka.cli import main
 
 
-def semistandard_by_definition(t: Tableau) -> bool:
+def semistandard_by_definition(shape: SkewShape, word: tuple[int, ...]) -> bool:
     """Rows weakly increase and every column, read top to bottom, strictly increases."""
-    grid = {}
-    for r, row in enumerate(t.rows, start=1):
-        for k, e in enumerate(row):
-            grid[(r, t.shape.inner_at(r) + 1 + k)] = e
-    rows_weak = all(a <= b for row in t.rows for a, b in zip(row, row[1:]))
+    grid = dict(zip(shape.cells(), word))
+    rows_weak = all(e <= grid[(r, c + 1)] for (r, c), e in grid.items() if (r, c + 1) in grid)
     columns_strict = all(e < grid[(r + 1, c)] for (r, c), e in grid.items() if (r + 1, c) in grid)
     return rows_weak and columns_strict
-
-
-def tableau_of(shape: SkewShape, word: tuple[int, ...]) -> Tableau:
-    """The filling of shape whose reading word is word."""
-    rows, k = [], 0
-    for first, last in map(shape.row_span, range(1, shape.n_rows + 1)):
-        rows.append(word[k:k + last - first + 1])
-        k += last - first + 1
-    return Tableau(shape, tuple(rows))
 
 
 class TestSkewShape:
@@ -81,47 +68,52 @@ class TestSkewShape:
 
 
 class TestTableau:
-    def test_entry_lookup_respects_inner_offset(self):
-        # rows hold the cells right of the inner shape, which the reading word pairs with cells()
-        t = Tableau(SkewShape((3, 2), (1,)), ((1, 2), (1, 3)))
-        assert t.rows == ((1, 2), (1, 3))
-        assert dict(zip(t.shape.cells(), t.reading_word())) == {(1, 2): 1, (1, 3): 2, (2, 1): 1, (2, 2): 3}
+    """A tableau is a shape and a reading word: its entries cell by cell, in the row-major order of cells()."""
 
-    def test_reading_word(self):
-        t = Tableau(SkewShape((2, 1)), ((1, 2), (2,)))
-        assert t.reading_word() == (1, 2, 2)
+    def test_entry_lookup_respects_inner_offset(self):
+        # each row's entries start right of the inner shape, which cells() already skips
+        shape = SkewShape((3, 2), (1,))
+        assert dict(zip(shape.cells(), (1, 2, 1, 3))) == {(1, 2): 1, (1, 3): 2, (2, 1): 1, (2, 2): 3}
+        assert is_semistandard(shape, (1, 2, 1, 3))
 
     def test_row_length_validation(self):
-        with pytest.raises(ValueError):
-            Tableau(SkewShape((2, 1)), ((1,), (2,)))
-        with pytest.raises(ValueError):
-            Tableau(SkewShape((2, 1)), ((1, 2),))
+        # one entry per cell: (2, 1) has three; signature_of checks through is_semistandard
+        for word in [(1, 2), (1, 1, 2, 2), ()]:
+            with pytest.raises(ValueError):
+                is_semistandard(SkewShape((2, 1)), word)
+            with pytest.raises(ValueError):
+                signature_of(SkewShape((2, 1)), word, 1)
 
     def test_entry_validation(self):
-        with pytest.raises(ValueError):
-            Tableau(SkewShape((2,)), ((1, 0),))
-        with pytest.raises(ValueError):
-            Tableau(SkewShape((2,)), ((1, "x"),))
+        for bad in [0, -1, True, "x"]:
+            with pytest.raises(ValueError):
+                is_semistandard(SkewShape((2,)), (1, bad))
+            with pytest.raises(ValueError):
+                signature_of(SkewShape((2,)), (1, bad), 1)
+
+        # bool is rejected, but other int subclasses are entries
+        class Entry(int):
+            pass
+
+        assert is_semistandard(SkewShape((2,)), (Entry(1), Entry(2)))
 
 
 class TestSemistandard:
     def test_valid(self):
-        assert is_semistandard(Tableau(SkewShape((2, 1)), ((1, 1), (2,))))
-        assert is_semistandard(Tableau(SkewShape((2, 2)), ((1, 1), (2, 2))))
+        assert is_semistandard(SkewShape((2, 1)), (1, 1, 2))
+        assert is_semistandard(SkewShape((2, 2)), (1, 1, 2, 2))
 
     def test_row_decrease_fails(self):
-        assert not is_semistandard(Tableau(SkewShape((2,)), ((2, 1),)))
+        assert not is_semistandard(SkewShape((2,)), (2, 1))
 
     def test_column_equality_fails(self):
-        assert not is_semistandard(Tableau(SkewShape((2, 1)), ((1, 1), (1,))))
+        assert not is_semistandard(SkewShape((2, 1)), (1, 1, 1))
 
     def test_skew_column_overlap_only(self):
         # column 1 of rows 1 and 2 never overlaps: row 1 starts at column 2
-        t = Tableau(SkewShape((3, 2), (1,)), ((1, 1), (1, 2)))
-        assert is_semistandard(t)
+        assert is_semistandard(SkewShape((3, 2), (1,)), (1, 1, 1, 2))
         # column 2 overlaps: 1 above 1 breaks strictness
-        t = Tableau(SkewShape((3, 2), (1,)), ((1, 1), (1, 1)))
-        assert not is_semistandard(t)
+        assert not is_semistandard(SkewShape((3, 2), (1,)), (1, 1, 1, 1))
 
     def test_every_small_filling_against_the_definition(self):
         # straight shapes up to 5 cells, skew shapes in a 3x4 box, and shapes with a cell-free first row
@@ -131,17 +123,16 @@ class TestSemistandard:
         fillings = rejected = 0
         for shape in shapes:
             for word in product(range(1, 5), repeat=shape.size):
-                t = tableau_of(shape, word)
-                expected = semistandard_by_definition(t)
-                assert is_semistandard(t) == expected, t.rows
+                expected = semistandard_by_definition(shape, word)
+                assert is_semistandard(shape, word) == expected, (shape, word)
                 fillings += 1
                 rejected += not expected
         assert (fillings, rejected) == (16773, 13331)
 
     def test_content(self):
-        assert word_content(Tableau(SkewShape((2, 1)), ((1, 3), (2,))).reading_word()) == (1, 1, 1)
-        assert word_content(Tableau(SkewShape((2,)), ((3, 3),)).reading_word()) == (0, 0, 2)
-        assert word_content(Tableau(SkewShape(()), ()).reading_word()) == ()
+        assert word_content((1, 3, 2)) == (1, 1, 1)
+        assert word_content((3, 3)) == (0, 0, 2)
+        assert word_content(()) == ()
 
 
 SHAPE_21 = SkewShape((2, 1))
@@ -162,7 +153,7 @@ class TestCheckContent:
             (lambda: kostka_number(SHAPE_21, (2, 2)), None),
             (lambda: kostka_number((2, 1), (4,)), None),
             (lambda: enumerate_ssyt(SHAPE_21, (1, 1, 2)), None),
-            (lambda: count_in_class(signature_of(Tableau(SHAPE_21, ((1, 1), (2,))), 1), (2, 2)), None),
+            (lambda: count_in_class(signature_of(SHAPE_21, (1, 1, 2), 1), (2, 2)), None),
             (lambda: main(["compute", "--shape", "2,1", "--content", "2,2"]), "--content"),
             (lambda: main(["classes", "--shape", "2,1", "--mu", "2,2", "--index", "1"]), "--mu"),
         ],
@@ -180,16 +171,14 @@ class TestCheckContent:
 
 class TestEnumeration:
     def test_frozen_count_and_order(self):
-        tabs = enumerate_ssyt(SkewShape((2, 1)), (1, 1, 1))
-        assert [t.reading_word() for t in tabs] == [(1, 2, 3), (1, 3, 2)]
+        assert enumerate_ssyt(SkewShape((2, 1)), (1, 1, 1)) == [(1, 2, 3), (1, 3, 2)]
 
     def test_zero_when_impossible(self):
         assert enumerate_ssyt(SkewShape((1, 1)), (2,)) == []  # two equal entries in a column
         assert enumerate_ssyt(SkewShape((2, 2)), (3, 1)) == []
 
     def test_interior_zero_content(self):
-        tabs = enumerate_ssyt(SkewShape((2, 1)), (2, 0, 1))
-        assert [t.reading_word() for t in tabs] == [(1, 1, 3)]
+        assert enumerate_ssyt(SkewShape((2, 1)), (2, 0, 1)) == [(1, 1, 3)]
 
     def test_empty_shape(self):
         assert len(enumerate_ssyt(SkewShape(()), ())) == 1
@@ -205,30 +194,28 @@ class TestEnumeration:
     def test_all_results_semistandard_with_exact_content(self):
         shape = SkewShape((3, 2), (1,))
         for content in [(2, 2), (1, 1, 1, 1), (2, 1, 1)]:
-            for t in enumerate_ssyt(shape, content):
-                assert is_semistandard(t)
-                assert word_content(t.reading_word()) == content
+            for word in enumerate_ssyt(shape, content):
+                assert is_semistandard(shape, word)
+                assert word_content(word) == content
 
     def test_iter_semistandard_matches_content_split(self):
         shape = SkewShape((2, 2))
         every = list(iter_semistandard(shape, 3))
         by_content = {}
-        for t in every:
-            by_content.setdefault(word_content(t.reading_word()), []).append(t)
+        for word in every:
+            by_content.setdefault(word_content(word), []).append(word)
         for content, group in by_content.items():
             padded = content + (0,) * (3 - len(content))
             assert len(enumerate_ssyt(shape, padded)) == len(group)
-        assert all(is_semistandard(t) for t in every)
-        assert len({t.rows for t in every}) == len(every)
+        assert all(is_semistandard(shape, word) for word in every)
+        assert len(set(every)) == len(every)
 
     def test_words_are_the_reading_words_in_lexicographic_order(self):
         shape = SkewShape((3, 2), (1,))
         words = list(semistandard_words(shape, (4,) * 4))
-        assert words == [t.reading_word() for t in iter_semistandard(shape, 4)]
+        assert words == list(iter_semistandard(shape, 4))
         assert words == sorted(set(words))
-        assert list(semistandard_words(shape, (1, 2, 1))) == [
-            t.reading_word() for t in enumerate_ssyt(shape, (1, 2, 1))
-        ]
+        assert list(semistandard_words(shape, (1, 2, 1))) == enumerate_ssyt(shape, (1, 2, 1))
 
     def test_words_reject_bad_multiplicities(self):
         shape = SkewShape((2,))
@@ -242,7 +229,7 @@ class TestEnumeration:
         for shape in shapes:
             m = shape.size
             top = max(3, m + 1)
-            uncapped = [w for w in product(range(1, top + 1), repeat=m) if semistandard_by_definition(tableau_of(shape, w))]
+            uncapped = [w for w in product(range(1, top + 1), repeat=m) if semistandard_by_definition(shape, w)]
             for caps in [*product(range(3), repeat=3), *((m,) * k for k in range(top + 1))]:
                 expected = [
                     w for w in uncapped
@@ -271,12 +258,10 @@ class TestLongShapes:
     """The enumerator loops over cells instead of recursing, so long rows fit."""
 
     def test_one_long_row(self):
-        tabs = enumerate_ssyt(SkewShape((1000,)), (1000,))
-        assert [t.rows for t in tabs] == [((1,) * 1000,)]
+        assert enumerate_ssyt(SkewShape((1000,)), (1000,)) == [(1,) * 1000]
 
     def test_two_long_rows(self):
-        tabs = enumerate_ssyt(SkewShape((600, 400)), (600, 400))
-        assert [t.rows for t in tabs] == [((1,) * 600, (2,) * 400)]
+        assert enumerate_ssyt(SkewShape((600, 400)), (600, 400)) == [(1,) * 600 + (2,) * 400]
 
     def test_long_row_two_values(self):
         # one filling per number of 1s
@@ -295,13 +280,12 @@ class TestTallColumns:
         assert words == sorted(words)
 
     def test_one_column_has_one_filling(self):
-        tabs = list(iter_semistandard(SkewShape((1,) * 30), 30))
-        assert [t.rows for t in tabs] == [tuple((e,) for e in range(1, 31))]
+        assert list(iter_semistandard(SkewShape((1,) * 30), 30)) == [tuple(range(1, 31))]
 
     def test_skew_column_against_the_definition(self):
         # a column of four cells beside a column of two, under caps with room to spare and caps that bind
         shape = SkewShape((2, 2, 2, 2), (1, 1))
-        uncapped = [w for w in product(range(1, 6), repeat=shape.size) if semistandard_by_definition(tableau_of(shape, w))]
+        uncapped = [w for w in product(range(1, 6), repeat=shape.size) if semistandard_by_definition(shape, w)]
         for caps in [(6,) * 5, (2,) * 4, (1, 2, 1, 2, 1), (0, 2, 2, 2, 2)]:
             expected = [
                 w for w in uncapped

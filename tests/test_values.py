@@ -1,6 +1,6 @@
 """The package's value classes: equality, hashing, repr, immutability and copies.
 
-SkewShape, Tableau, CoverMove, KostkaMatrix and ClassSignature are frozen
+SkewShape, CoverMove, KostkaMatrix and ClassSignature are frozen
 values; Report is filled in as a suite runs, so it stays mutable and has no hash.
 """
 
@@ -9,7 +9,7 @@ import pickle
 
 import pytest
 
-from kostka import ClassSignature, CoverMove, KostkaMatrix, Report, SkewShape, Tableau, kostka_matrix
+from kostka import ClassSignature, CoverMove, KostkaMatrix, Report, SkewShape, kostka_matrix
 
 SHAPE = SkewShape((2, 1))
 
@@ -21,12 +21,6 @@ CASES = {
         {"outer": [3, 2, 0], "inner": (1,)},
         ((3, 2), (1,)),
         "SkewShape(outer=(3, 2), inner=(1,))",
-    ),
-    Tableau: (
-        (SHAPE, ((1, 2), (3,))),
-        {"shape": SkewShape((2, 1), ()), "rows": [[1, 2], [3]]},
-        (SHAPE, ((1, 2), (3,))),
-        "Tableau(shape=SkewShape(outer=(2, 1), inner=()), rows=((1, 2), (3,)))",
     ),
     KostkaMatrix: (
         (2, ((2,), (1, 1)), ((1, 1), (0, 1))),
