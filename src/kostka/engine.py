@@ -12,7 +12,10 @@ verify, and it never reorders the content, whose symmetry the
 permutation-invariance suite checks. Each shape in the walk is packed into one
 int, a fixed number of bits per row, so a step adds to an int rather than
 rebuilding a tuple. Nothing is kept between calls unless the caller passes a
-strip memo, which is opaque: its keys hold packed shapes.
+walk memo. It is opaque and holds one record per outer shape: small int ids
+for the packed shapes, one strip table per strip size keyed by id, and the last
+walk from each inner, so a call resumes after the longest content prefix it
+shares with that walk. Interning is not atomic: a memo serves one thread at a time.
 """
 
 from __future__ import annotations
@@ -23,8 +26,11 @@ from typing import Iterator, MutableMapping, Sequence
 from .partitions import Parts, _Value, format_parts, partition, partitions_of
 from .tableaux import SkewShape
 
-# a strip memo: (packed shape, strip size, outer) -> the packed shapes that strip can reach
-Strips = MutableMapping[tuple, list]
+# a walk memo: outer -> its record (ids, shapes, tables, walks). ids gives each packed shape a small int, 0
+# for outer, and shapes maps it back; tables[size] maps an id to the ids its strips of size cells reach; walks
+# maps a packed inner to the last steps walked from it and the frontier after each of their prefixes. Ids are
+# per outer, not per walk, since every inner on one outer shares its tables
+Walks = MutableMapping[tuple, tuple]
 
 
 def _pack(parts: Parts, w: int) -> int:
@@ -43,7 +49,7 @@ def _strips(shape: int, size: int, outer: Parts, w: int) -> list[int]:
     length of row r-1; below the first empty row nothing can. The rows with room
     are filled one after another, breadth first; each takes at least what the
     rows below it cannot hold, so every partial strip completes and the last row
-    with room takes whatever is left.
+    with room takes whatever is left. One cell goes to any row with room.
     """
     mask = (1 << w) - 1
     rooms = []
@@ -64,6 +70,8 @@ def _strips(shape: int, size: int, outer: Parts, w: int) -> list[int]:
         shift += w
     if size > tail:
         return []
+    if size == 1:
+        return [shape + (1 << shift) for shift, _ in rooms]
     grown = [(shape, size)]
     last = rooms.pop()[0]
     for shift, room in rooms:
@@ -82,17 +90,19 @@ def _strips(shape: int, size: int, outer: Parts, w: int) -> list[int]:
     return [nu + (left << last) for nu, left in grown]
 
 
-def _kostka(outer: Parts, inner: Parts, content: Parts, memo: Strips | None) -> int:
+def _kostka(outer: Parts, inner: Parts, content: Parts, memo: Walks | None) -> int:
     if not outer:
         return 1
     w = outer[0].bit_length()
+    if memo is not None:
+        return _resume(outer, _pack(inner, w), [size for size in content if size], w, memo)
     mask = (1 << w) - 1
     frontier = {_pack(inner, w): 1}
     for size in content:
         if not size:
             continue
         grown: dict[int, int] = {}
-        if size == 1 and memo is None:
+        if size == 1:
             # one cell goes to any addable corner, skipping the strip enumerator. Standard
             # contents take thousands of these steps: in-process on 2 CPUs, the 3,060 queries
             # of perfbench's query_stream (seed 7, reps 0-2) took 0.7-1.0 s with this branch
@@ -113,31 +123,59 @@ def _kostka(outer: Parts, inner: Parts, content: Parts, memo: Strips | None) -> 
                     cell <<= w
         else:
             for shape, count in frontier.items():
-                if memo is None:
-                    strips = _strips(shape, size, outer, w)
-                else:
-                    key = (shape, size, outer)
-                    strips = memo.get(key)
-                    if strips is None:
-                        strips = memo[key] = _strips(shape, size, outer, w)
-                for nu in strips:
+                for nu in _strips(shape, size, outer, w):
                     grown[nu] = grown.get(nu, 0) + count
         frontier = grown
     return frontier.get(_pack(outer, w), 0)
 
 
+def _resume(outer: Parts, start: int, steps: list[int], w: int, memo: Walks) -> int:
+    """_kostka's walk of the nonzero parts steps on outer's record, from the prefix shared with start's last walk."""
+    record = memo.get(outer)
+    if record is None:
+        end = _pack(outer, w)
+        record = memo[outer] = ({end: 0}, [end], [{} for _ in range(sum(outer) + 1)], {})
+    ids, shapes, tables, walks = record
+    if start not in ids:
+        ids[start] = len(shapes)
+        shapes.append(start)
+    done, frontiers = walks.get(start) or ((), [{ids[start]: 1}])
+    k = 0
+    while k < len(done) and k < len(steps) and done[k] == steps[k]:
+        k += 1
+    del frontiers[k + 1:]
+    frontier = frontiers[k]
+    for size in steps[k:]:
+        table = tables[size]
+        grown: dict[int, int] = {}
+        for sid, count in frontier.items():
+            targets = table.get(sid)
+            if targets is None:
+                targets = table[sid] = []
+                for nu in _strips(shapes[sid], size, outer, w):
+                    targets.append(ids.setdefault(nu, len(shapes)))
+                    if targets[-1] == len(shapes):
+                        shapes.append(nu)
+            for t in targets:
+                grown[t] = grown.get(t, 0) + count
+        frontier = grown
+        frontiers.append(grown)
+    walks[start] = (steps, frontiers)
+    return frontier.get(0, 0)
+
+
 def kostka_number(
     shape: SkewShape | Sequence[int],
     content: Sequence[int],
-    cache: Strips | None = None,
+    cache: Walks | None = None,
 ) -> int:
     """Count the semistandard fillings of shape with the given content.
 
     shape may be a SkewShape or a bare partition (meaning a straight shape).
     content is a composition; trailing zeros are irrelevant and stripped. The
-    total must equal the cell count. cache, when given, is an opaque strip
-    memo that calls sharing outer shapes can share; its keys and values hold
-    packed shapes.
+    total must equal the cell count. cache, when given, is an opaque walk memo
+    (see the module docstring) that calls sharing outer shapes can share, one
+    thread at a time; a call resumes after the content prefix it shares with the last.
     """
     if not isinstance(shape, SkewShape):
         shape = SkewShape(shape)
@@ -241,11 +279,11 @@ class KostkaMatrix(_Value):
 def kostka_matrix(n: int) -> KostkaMatrix:
     """K(lam, mu) for all partition pairs of n; rows are shapes, columns contents.
 
-    Every entry is one kostka_number call with a strip memo. Each row gets a
-    fresh one, since memo keys hold the row's outer shape and so never repeat
-    across rows. The memo stays because the contents of one row reach the same
-    strips again and again: in-process on 2 CPUs, n = 16 took 0.7-1.1 s with it
-    and 1.5-2.1 s without, n = 18 2.9-3.4 s against 5.6-7.9 s.
+    Every entry is one kostka_number call with a walk memo. Each row gets a
+    fresh one, since its one record is keyed by the row's outer shape. The memo
+    stays because a row's reverse-lexicographic contents share prefixes and
+    reach the same strips again and again: in-process on 2 CPUs, n = 16 took
+    0.5-0.9 s with it and 1.3-2.2 s without, n = 18 1.6-2.5 s against 5.7-8.2 s.
     """
     parts = tuple(partitions_of(n))
     values = []

@@ -413,7 +413,9 @@ def verify_oracle_equivalence(max_cells: int) -> Checks:
     """DP counts equal enumeration counts for every straight shape and bounded content.
 
     The census enumerates every filling with entries up to m+1 once per shape, so
-    contents the DP must report as zero are checked too.
+    contents the DP must report as zero are checked too. Each shape gets one walk
+    memo over the sorted family, so consecutive contents resume from the frontier
+    of the prefix they share.
     """
     for m in range(max_cells + 1):
         family = bounded_content_family(m)

@@ -1,4 +1,4 @@
-"""The counting engine: walk values, long contents, matrices, and strip memos."""
+"""The counting engine: walk values, long contents, matrices, and walk memos."""
 
 import csv
 import io
@@ -159,6 +159,36 @@ class TestCaching:
             assert kostka_number(lam, mu, cache={}) == plain
             assert kostka_number(lam, mu, cache=reused) == plain
         assert reused
+
+    def test_one_memo_resumed_in_any_order_matches_no_memo(self):
+        """A memo keeps one record per outer and the last walk per inner; calls resume from it in any order."""
+        shape, other = SkewShape((4, 3, 1), (2,)), SkewShape((4, 3, 1), (1, 1))
+        cases = [
+            # two inners on one outer, alternating
+            (shape, (2, 2, 2)), (other, (2, 2, 2)), (shape, (2, 2, 1, 1)), (other, (2, 1, 2, 1)), (shape, (1, 2, 2, 1)),
+            # outers packed at one bit width
+            ((3, 1), (2, 1, 1)), ((2, 2), (2, 1, 1)), ((3, 1), (1, 1, 1, 1)), ((2, 2), (1, 1, 2)),
+            # interior zeros, a repeat, then contents sharing only a prefix with the last
+            ((4, 2, 1), (2, 0, 3, 0, 2)), ((4, 2, 1), (2, 3, 2)), ((4, 2, 1), (2, 0, 3, 1, 1)), ((4, 2, 1), (2, 1, 4)),
+            ((200, 200), (1,) * 400),
+        ]
+        memo = {}
+        for skew, content in cases + cases[::-1]:
+            assert kostka_number(skew, content, cache=memo) == kostka_number(skew, content)
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_drawn_call_sequences_on_one_memo_match_no_memo(self, data):
+        shapes = [p for m in range(1, 7) for p in partitions_of(m)]
+        outers = data.draw(st.lists(st.sampled_from(shapes), min_size=1, max_size=3))
+        memo = {}
+        for _ in range(data.draw(st.integers(1, 12))):
+            outer = data.draw(st.sampled_from(outers))
+            inners = [nu for m in range(sum(outer)) for nu in partitions_of(m) if len(nu) <= len(outer)]
+            inner = data.draw(st.sampled_from([nu for nu in inners if all(map(int.__le__, nu, outer))]))
+            shape = SkewShape(outer, inner)
+            content = data.draw(st.permutations(data.draw(st.sampled_from(partitions_of(shape.size))) + (0,)))
+            assert kostka_number(shape, content, cache=memo) == kostka_number(shape, content)
 
     def test_matrix_without_cache_gives_each_row_its_own_memo(self, monkeypatch):
         calls = []
