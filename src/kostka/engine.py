@@ -13,9 +13,14 @@ permutation-invariance suite checks. Each shape in the walk is packed into one
 int, a fixed number of bits per row, so a step adds to an int rather than
 rebuilding a tuple. Nothing is kept between calls unless the caller passes a
 walk memo. It is opaque and holds one record per outer shape: small int ids
-for the packed shapes, one strip table per strip size keyed by id, and the last
-walk from each inner, so a call resumes after the longest content prefix it
-shares with that walk. Interning is not atomic: a memo serves one thread at a time.
+for the packed shapes, one strip table per strip size keyed by id, the last
+walk from each inner, and the number of one-cell chains from each shape up to
+outer, which is f^(outer/shape), the count of its standard fillings. With a
+memo the walk goes forward only up to the content's trailing run of 1s,
+resuming after the longest prefix it shares with the inner's last walk, and
+counts the run backward: the answer is the sum over the frontier of each
+shape's count times its chains. Interning is not atomic: a memo serves one
+thread at a time.
 """
 
 from __future__ import annotations
@@ -26,10 +31,11 @@ from typing import Iterator, MutableMapping, Sequence
 from .partitions import Parts, _Value, format_parts, partition, partitions_of
 from .tableaux import SkewShape
 
-# a walk memo: outer -> its record (ids, shapes, tables, walks). ids gives each packed shape a small int, 0
-# for outer, and shapes maps it back; tables[size] maps an id to the ids its strips of size cells reach; walks
-# maps a packed inner to the last steps walked from it and the frontier after each of their prefixes. Ids are
-# per outer, not per walk, since every inner on one outer shares its tables
+# a walk memo: outer -> its record (ids, shapes, tables, walks, below). ids gives each packed shape a small int,
+# 0 for outer, and shapes maps it back; tables[size] maps an id to the ids its strips of size cells reach; walks
+# maps a packed inner to the last steps walked from it, trailing 1s left off, and the frontier after each of
+# their prefixes; below maps an id to its one-cell chains up to outer. Ids are per outer, not per walk, since
+# every inner on one outer shares its tables and chain counts
 Walks = MutableMapping[tuple, tuple]
 
 
@@ -95,7 +101,8 @@ def _kostka(outer: Parts, inner: Parts, content: Parts, memo: Walks | None) -> i
         return 1
     w = outer[0].bit_length()
     if memo is not None:
-        return _resume(outer, _pack(inner, w), [size for size in content if size], w, memo)
+        steps = tuple([size for size in content if size]) if 0 in content else content
+        return _resume(outer, _pack(inner, w) if inner else 0, steps, w, memo)
     mask = (1 << w) - 1
     frontier = {_pack(inner, w): 1}
     for size in content:
@@ -129,39 +136,67 @@ def _kostka(outer: Parts, inner: Parts, content: Parts, memo: Walks | None) -> i
     return frontier.get(_pack(outer, w), 0)
 
 
-def _resume(outer: Parts, start: int, steps: list[int], w: int, memo: Walks) -> int:
-    """_kostka's walk of the nonzero parts steps on outer's record, from the prefix shared with start's last walk."""
+def _intern(record: tuple, sid: int, size: int, outer: Parts, w: int) -> list[int]:
+    """Store and return the ids that shape sid's strips of size cells reach, interning each new shape in record."""
+    ids, shapes, tables = record[:3]
+    targets = tables[size][sid] = []
+    for nu in _strips(shapes[sid], size, outer, w):
+        targets.append(ids.setdefault(nu, len(shapes)))
+        if targets[-1] == len(shapes):
+            shapes.append(nu)
+    return targets
+
+
+def _resume(outer: Parts, start: int, steps: Parts, w: int, memo: Walks) -> int:
+    """_kostka's count of the nonzero parts steps on outer's record: forward up to their trailing 1s, then backward."""
     record = memo.get(outer)
     if record is None:
         end = _pack(outer, w)
-        record = memo[outer] = ({end: 0}, [end], [{} for _ in range(sum(outer) + 1)], {})
-    ids, shapes, tables, walks = record
+        record = memo[outer] = ({end: 0}, [end], [{} for _ in range(sum(outer) + 1)], {}, {0: 1})
+    ids, shapes, tables, walks, below = record
     if start not in ids:
         ids[start] = len(shapes)
         shapes.append(start)
+    head = len(steps)
+    while head and steps[head - 1] == 1:
+        head -= 1
     done, frontiers = walks.get(start) or ((), [{ids[start]: 1}])
     k = 0
-    while k < len(done) and k < len(steps) and done[k] == steps[k]:
+    while k < len(done) and k < head and done[k] == steps[k]:
         k += 1
     del frontiers[k + 1:]
     frontier = frontiers[k]
-    for size in steps[k:]:
+    for size in steps[k:head]:
         table = tables[size]
         grown: dict[int, int] = {}
         for sid, count in frontier.items():
             targets = table.get(sid)
             if targets is None:
-                targets = table[sid] = []
-                for nu in _strips(shapes[sid], size, outer, w):
-                    targets.append(ids.setdefault(nu, len(shapes)))
-                    if targets[-1] == len(shapes):
-                        shapes.append(nu)
+                targets = _intern(record, sid, size, outer, w)
             for t in targets:
                 grown[t] = grown.get(t, 0) + count
         frontier = grown
         frontiers.append(grown)
-    walks[start] = (steps, frontiers)
-    return frontier.get(0, 0)
+    walks[start] = (steps[:head], frontiers)
+    # below[sid] counts the one-cell chains from shape sid up to outer; a missing one is filled after its successors
+    ones = tables[1]
+    total = 0
+    for sid, count in frontier.items():
+        if sid not in below:
+            stack = [sid]
+            while stack:
+                top = stack[-1]
+                targets = ones.get(top)
+                if targets is None:
+                    targets = _intern(record, top, 1, outer, w)
+                missing = [t for t in targets if t not in below]
+                if missing:
+                    stack += missing
+                else:
+                    below[top] = sum([below[t] for t in targets])
+                    stack.pop()
+        total += count * below[sid]
+    return total
 
 
 def kostka_number(
@@ -175,7 +210,8 @@ def kostka_number(
     content is a composition; trailing zeros are irrelevant and stripped. The
     total must equal the cell count. cache, when given, is an opaque walk memo
     (see the module docstring) that calls sharing outer shapes can share, one
-    thread at a time; a call resumes after the content prefix it shares with the last.
+    thread at a time; a call resumes after the content prefix it shares with the
+    last and counts its trailing 1s backward, from chain counts kept per outer.
     """
     if not isinstance(shape, SkewShape):
         shape = SkewShape(shape)
@@ -281,9 +317,10 @@ def kostka_matrix(n: int) -> KostkaMatrix:
 
     Every entry is one kostka_number call with a walk memo. Each row gets a
     fresh one, since its one record is keyed by the row's outer shape. The memo
-    stays because a row's reverse-lexicographic contents share prefixes and
-    reach the same strips again and again: in-process on 2 CPUs, n = 16 took
-    0.5-0.9 s with it and 1.3-2.2 s without, n = 18 1.6-2.5 s against 5.7-8.2 s.
+    stays because a row's reverse-lexicographic contents share prefixes, reach
+    the same strips again and again, and end in runs of 1s it counts backward:
+    in-process on 2 CPUs, n = 16 took 0.36-0.57 s with it and 1.35-1.95 s
+    without, n = 18 1.03-1.17 s against 5.3-6.5 s.
     """
     parts = tuple(partitions_of(n))
     values = []

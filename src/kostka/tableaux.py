@@ -25,9 +25,11 @@ class SkewShape(_Value):
     cell-free row still shifts the rows below it).
     """
 
-    __slots__ = _fields = ("outer", "inner")
+    __slots__ = ("outer", "inner", "size")
+    _fields = ("outer", "inner")
     outer: Parts
     inner: Parts
+    size: int  # the cell count, kept so each content check sums only the content
 
     def __init__(self, outer: Sequence[int], inner: Sequence[int] = ()) -> None:
         outer = list(partition(outer))
@@ -40,14 +42,11 @@ class SkewShape(_Value):
             outer.pop()
             inner.pop()
         self._set(tuple(outer), tuple(inner))
+        object.__setattr__(self, "size", sum(outer) - sum(inner))
 
     @property
     def n_rows(self) -> int:
         return len(self.outer)
-
-    @property
-    def size(self) -> int:
-        return sum(self.outer) - sum(self.inner)
 
     def check_content(self, content: Sequence[int]) -> Parts:
         """content as a composition, provided its total fills the cells.
@@ -56,8 +55,9 @@ class SkewShape(_Value):
         SizeMismatchError when the total differs from the cell count.
         """
         content = composition(content)
-        if sum(content) != self.size:
-            raise SizeMismatchError(f"content total {sum(content)} does not fill {self.size} cells")
+        total = sum(content)
+        if total != self.size:
+            raise SizeMismatchError(f"content total {total} does not fill {self.size} cells")
         return content
 
     def inner_at(self, r: int) -> int:

@@ -4,6 +4,8 @@ import csv
 import io
 import json
 import random
+from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,7 @@ from kostka import (
     kostka_number,
     partitions_of,
 )
+from kostka.verify import canonical_box_skew_shapes
 
 
 class TestKostkaNumber:
@@ -147,6 +150,93 @@ class TestPackedShapes:
         for mu in partitions_of(shape.size):
             for content in (mu, (0,) + mu[::-1]):
                 assert _shared_and_fresh(shape, content, shared) == len(enumerate_ssyt(shape, content))
+
+
+def _aitken_standard_count(outer, inner):
+    """f^(outer/inner), the standard fillings, as N! det[1/(outer_i - inner_j - i + j)!] in exact fractions.
+
+    Aitken's determinant (EC2, Cor. 7.16.3); 1/m! is 0 for m < 0. Eliminates
+    column by column, so it shares nothing with the strip walk.
+    """
+    rows = len(outer)
+    inner = tuple(inner) + (0,) * (rows - len(inner))
+    m = [[Fraction(1, factorial(outer[i] - inner[j] - i + j)) if outer[i] - inner[j] - i + j >= 0 else Fraction(0)
+          for j in range(rows)] for i in range(rows)]
+    det = Fraction(1)
+    for c in range(rows):
+        pivot = next((r for r in range(c, rows) if m[r][c]), None)
+        if pivot is None:
+            return 0
+        if pivot != c:
+            m[c], m[pivot] = m[pivot], m[c]
+            det = -det
+        det *= m[c][c]
+        for r in range(c + 1, rows):
+            factor = m[r][c] / m[c][c]
+            for j in range(c, rows):
+                m[r][j] -= factor * m[c][j]
+    count = det * factorial(sum(outer) - sum(inner))
+    assert count.denominator == 1
+    return int(count)
+
+
+class TestTrailingOnes:
+    """With a memo, a content's trailing run of 1s is counted backward from outer, by one-cell chains.
+
+    Each record keeps, per shape, the chains from it up to outer, shared by every
+    content and every inner on that outer.
+    """
+
+    def test_aitken_pins(self):
+        assert _aitken_standard_count((3, 2), ()) == 5
+        assert _aitken_standard_count((2, 2), (1,)) == 2
+        assert _aitken_standard_count((3, 3, 1), (3,)) == 3
+        assert _aitken_standard_count((2, 1), (1,)) == 2
+
+    def test_standard_skew_counts_match_aitken(self):
+        memo = {}
+        shapes = canonical_box_skew_shapes(4, 8)
+        assert len(shapes) == 7318
+        for shape in shapes:
+            expected = _aitken_standard_count(shape.outer, shape.inner)
+            assert kostka_number(shape, (1,) * shape.size, cache=memo) == expected
+
+    def test_runs_of_ones_on_alternating_inners_match_no_memo(self):
+        # every inner on one outer shares its record's chain counts, so later inners reuse what earlier ones filled
+        outer = (5, 3, 2, 1)
+        inners = [(), (2,), (1, 1), (3, 1), (2, 2, 1), (4, 1)]
+
+        def contents(m):
+            return [
+                (1,) * m,
+                (0, 1) * m,
+                (1, 0) * (m - 1) + (0, 0, 1),
+                (2,) + (1,) * (m - 2),
+                (1, 2) + (1,) * (m - 3),
+                (2, 1, 0, 1) + (1,) * (m - 4),
+                (3, 1, 0, 2) + (0, 1) * (m - 6),
+                (1,) * (m - 2) + (2,),
+                (m,),
+            ]
+
+        shapes = [SkewShape(outer, inner) for inner in inners]
+        # each content in turn on every inner, then all of it again backwards
+        calls = [(shape, contents(shape.size)[k]) for k in range(9) for shape in shapes]
+        memo = {}
+        for shape, content in calls + calls[::-1]:
+            assert kostka_number(shape, content, cache=memo) == kostka_number(shape, content)
+
+    def test_ones_between_larger_parts_match_no_memo(self):
+        # a 1 before a larger part is walked forward through the same one-cell table the backward count reads,
+        # and a walk whose trailing 1s were counted backward is resumed by contents that go on past them
+        contents = [
+            (1, 1, 2, 1, 1, 1), (1, 1, 2, 3), (1, 3, 1, 1, 0, 1), (1, 1, 1, 1, 3),
+            (2, 1, 1, 1, 1, 1), (2, 1, 1, 3), (2, 1, 1, 2, 1), (1, 2, 1, 2, 0, 1),
+        ]
+        memo = {}
+        for shape in [SkewShape((4, 2, 1)), SkewShape((5, 3, 2), (3,)), SkewShape((4, 4), (1,))]:
+            for content in contents + contents[::-1]:
+                assert kostka_number(shape, content, cache=memo) == kostka_number(shape, content)
 
 
 class TestCaching:

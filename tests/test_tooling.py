@@ -8,8 +8,10 @@ parameters, so no argument is accepted and silently ignored. And the package
 imports only the standard library and itself, so its runtime needs nothing else, and
 never dataclasses, whose imports would slow every start-up.
 No function calls itself, so deep inputs cannot exhaust the stack, and no cache
-grows without bound in a long-lived process. Every verifier suite has a test that
-injects a fault into kostka.verify and runs it, so each suite is seen to fail.
+grows without bound in a long-lived process. The counting kernel never consults
+dominance, the order whose link to positivity the verifiers check it against.
+Every verifier suite has a test that injects a fault into kostka.verify and runs
+it, so each suite is seen to fail.
 """
 
 import ast
@@ -156,6 +158,21 @@ def test_internal_paths_build_no_tableaux():
                 continue
             used += [f"{name}:{node.lineno} {n}" for n in sorted(names & tableau_names)]
     assert not used, "tableaux built on an internal path: " + ", ".join(used)
+
+
+def test_kernel_never_consults_dominance():
+    # positivity iff dominance is a claim the verifiers check on the kernel's counts, so the kernel must not use it
+    path = ROOT / "src" / "kostka" / "engine.py"
+    used = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.alias):
+            names = {node.name.rpartition(".")[2], node.asname}
+        elif isinstance(node, ast.Call):
+            names = {getattr(node.func, "id", getattr(node.func, "attr", None))}
+        else:
+            continue
+        used += [f"engine.py:{node.lineno} {n}" for n in sorted(names & {"dominates", "covers"})]
+    assert not used, "the kernel consults dominance: " + ", ".join(used)
 
 
 def test_every_suite_has_a_fault_test():
