@@ -181,10 +181,11 @@ def _aitken_standard_count(outer, inner):
 
 
 class TestTrailingOnes:
-    """With a memo, a content's trailing run of 1s is counted backward from outer, by one-cell chains.
+    """Runs of 1s on a memo: standard counts against Aitken's determinant, and 1s among larger parts.
 
-    Each record keeps, per shape, the chains from it up to outer, shared by every
-    content and every inner on that outer.
+    The memo walks a 1 forward like any other part, through the same one-cell
+    strip table, and resumes a walk that ended in 1s for a content that goes on
+    past them.
     """
 
     def test_aitken_pins(self):
@@ -202,7 +203,7 @@ class TestTrailingOnes:
             assert kostka_number(shape, (1,) * shape.size, cache=memo) == expected
 
     def test_runs_of_ones_on_alternating_inners_match_no_memo(self):
-        # every inner on one outer shares its record's chain counts, so later inners reuse what earlier ones filled
+        # each inner has its own record on this outer, and the calls alternate between them
         outer = (5, 3, 2, 1)
         inners = [(), (2,), (1, 1), (3, 1), (2, 2, 1), (4, 1)]
 
@@ -227,8 +228,7 @@ class TestTrailingOnes:
             assert kostka_number(shape, content, cache=memo) == kostka_number(shape, content)
 
     def test_ones_between_larger_parts_match_no_memo(self):
-        # a 1 before a larger part is walked forward through the same one-cell table the backward count reads,
-        # and a walk whose trailing 1s were counted backward is resumed by contents that go on past them
+        # 1s before and after larger parts share the one-cell table, and walks ending in 1s are resumed past them
         contents = [
             (1, 1, 2, 1, 1, 1), (1, 1, 2, 3), (1, 3, 1, 1, 0, 1), (1, 1, 1, 1, 3),
             (2, 1, 1, 1, 1, 1), (2, 1, 1, 3), (2, 1, 1, 2, 1), (1, 2, 1, 2, 0, 1),
@@ -251,7 +251,7 @@ class TestCaching:
         assert reused
 
     def test_one_memo_resumed_in_any_order_matches_no_memo(self):
-        """A memo keeps one record per outer and the last walk per inner; calls resume from it in any order."""
+        """A memo keeps one walk per inner and outer size; calls resume from it in any order."""
         shape, other = SkewShape((4, 3, 1), (2,)), SkewShape((4, 3, 1), (1, 1))
         cases = [
             # two inners on one outer, alternating
@@ -280,22 +280,64 @@ class TestCaching:
             content = data.draw(st.permutations(data.draw(st.sampled_from(partitions_of(shape.size))) + (0,)))
             assert kostka_number(shape, content, cache=memo) == kostka_number(shape, content)
 
-    def test_matrix_without_cache_gives_each_row_its_own_memo(self, monkeypatch):
+    def test_matrix_walks_each_column_on_one_memo(self, monkeypatch):
         calls = []
         real = kostka.engine.kostka_number
 
         def record(shape, content, cache=None):
-            calls.append(cache)
+            calls.append((content, cache))
             return real(shape, content, cache=cache)
 
         monkeypatch.setattr(kostka.engine, "kostka_number", record)
         kostka_matrix(6)
-        # rows are shapes: one fresh memo per row, shared along the row
+        # one memo for the whole matrix, asked column by column: 11 runs of 11 calls, each run on one content
         assert len(calls) == 121
-        rows = [calls[k:k + 11] for k in range(0, 121, 11)]
-        for row in rows:
-            assert row[0] is not None and all(cache is row[0] for cache in row)
-        assert len({id(row[0]) for row in rows}) == 11
+        memo = calls[0][1]
+        assert memo is not None and all(cache is memo for _, cache in calls)
+        runs = [calls[k:k + 11] for k in range(0, 121, 11)]
+        assert [run[0][0] for run in runs] == partitions_of(6)
+        for run in runs:
+            assert all(content == run[0][0] for content, _ in run)
+
+    def test_outers_widening_the_union_after_walks_match_no_memo(self):
+        """Outers of one size share a record; each new corner of their union resets its tables and its walk."""
+        # every outer but the first and the last widens the union, after walks inside the narrower one filled tables
+        outers = [(2, 2, 2, 1), (3, 2, 1, 1), (3, 3, 1), (4, 2, 1), (5, 1, 1), (7,), (1,) * 7, (4, 3)]
+        contents = [(1,) * 7, (2, 1, 1, 1, 1, 1), (2, 2, 1, 1, 1), (2, 2, 2, 1), (3, 1, 2, 1), (1, 3, 3), (0, 4, 0, 3)]
+        memo = {}
+        calls = [(outer, content) for outer in outers for content in contents]
+        for outer, content in calls + calls[::-1] + calls:
+            assert kostka_number(outer, content, cache=memo) == kostka_number(outer, content)
+        assert len(memo) == 1
+
+    def test_skew_inners_sharing_a_size_match_no_memo(self):
+        # records are per inner and size: skew shapes on two inners, over outers of two sizes, interleaved
+        shapes = [
+            SkewShape(outer, inner)
+            for inner in [(2,), (1, 1)]
+            for outer in [(3, 2, 1), (4, 1, 1), (2, 2, 2), (4, 2), (3, 3), (4, 3, 1), (3, 3, 2), (6, 2)]
+        ]
+        memo = {}
+        for shape in shapes + shapes[::-1]:
+            for mu in partitions_of(shape.size):
+                for content in (mu, mu[::-1]):
+                    assert kostka_number(shape, content, cache=memo) == kostka_number(shape, content)
+        assert sorted(memo) == [((1, 1), 6), ((1, 1), 8), ((2,), 6), ((2,), 8)]
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_drawn_outers_of_one_size_match_no_memo(self, data):
+        m = data.draw(st.integers(2, 8))
+        outers = data.draw(st.lists(st.sampled_from(partitions_of(m)), min_size=2, max_size=5))
+        memo = {}
+        for _ in range(data.draw(st.integers(1, 16))):
+            outer = data.draw(st.sampled_from(outers))
+            inner = data.draw(st.sampled_from([(), (1,), (1, 1), (2,)]))
+            if len(inner) > len(outer) or any(map(int.__gt__, inner, outer)):
+                inner = ()
+            shape = SkewShape(outer, inner)
+            content = data.draw(st.permutations(data.draw(st.sampled_from(partitions_of(shape.size))) + (0,)))
+            assert kostka_number(shape, content, cache=memo) == kostka_number(shape, content)
 
 
 class TestKostkaMatrix:
