@@ -41,7 +41,7 @@ MAX_MATRIX_N = 24
 # fillings, on 2 CPUs, (10,10) took 3-5 s and (12,12) 9-25 s, most of it in the enumerator's dead ends, which
 # the cap does not bound: a (14,14) request with 1,818 fillings ran past 2 minutes
 MAX_CLASSES_FILLINGS = 2000
-# verify time grows about 7x per +1 in max_n; on 2 CPUs (median of 3 runs) max_n=7 took 1.7 s, max_n=8 12.4 s and 48 MB peak RSS
+# verify time grows about 6x per +1 in max_n; on 2 CPUs (median of 3 runs) max_n=7 took 1.6 s, max_n=8 9.6 s and 47 MB peak RSS
 MAX_VERIFY_N = 8
 
 

@@ -157,6 +157,7 @@ def verify_positivity(max_n: int) -> Checks:
     for shape in _shapes(max_n, False):
         lam = shape.outer
         for mu in partitions_of(shape.size):
+            # no memo: one standard suite keeps running the path that single queries take
             positive = kostka_number(shape, mu) > 0
             dominated = dominates(lam, mu)
             yield [] if positive == dominated else [
@@ -170,28 +171,50 @@ def verify_positivity(max_n: int) -> Checks:
             ]
 
 
+def _rows(shapes: Sequence[SkewShape], parts: Sequence[Sequence[Parts]]) -> list[tuple[int, ...]]:
+    """Each shape's counts over parts[shape.size], in that order, listed as shapes are.
+
+    The shapes of one inner and size share one fresh walk memo, asked column by
+    column as kostka_matrix asks it: the first column, the one-part content,
+    fills the memo's union of outers, and each later column is one walk for
+    every shape of the group.
+    """
+    groups: dict[tuple, list[int]] = defaultdict(list)
+    for k, shape in enumerate(shapes):
+        groups[shape.inner, shape.size].append(k)
+    rows: list[tuple[int, ...]] = [()] * len(shapes)
+    for (_, size), members in groups.items():
+        memo: dict = {}
+        columns = [[kostka_number(shapes[k], mu, cache=memo) for k in members] for mu in parts[size]]
+        for k, row in zip(members, zip(*columns)):
+            rows[k] = row
+    return rows
+
+
 @_suite("dominance-monotonicity")
 def verify_monotonicity(max_n: int, include_skew: bool = False) -> Checks:
     """Check K(shape, mu) <= K(shape, nu) whenever mu dominates nu.
 
     Straight shapes run over all partitions of each m <= max_n. With include_skew,
     translation-canonical skew shapes with up to max_n cells fitting a 4-row by
-    max_n-column box run as well.
+    max_n-column box run as well. Each shape's counts form a row over the
+    partitions of its size, read off one column walk per inner shape and size
+    (see _rows), and each dominance pair is a pair of positions in that row.
     """
     # dominance depends on the size only, so each size's partitions and pairs are listed once
     parts = [partitions_of(m) for m in range(max_n + 1)]
-    pairs = [[(mu, nu) for mu in ps for nu in ps if dominates(mu, nu)] for ps in parts]
-    for shape in _shapes(max_n, include_skew):
-        label = _label(shape)
-        counts = {mu: kostka_number(shape, mu) for mu in parts[shape.size]}
-        for mu, nu in pairs[shape.size]:
-            yield [] if counts[mu] <= counts[nu] else [
+    pairs = [[(a, b) for a, mu in enumerate(ps) for b, nu in enumerate(ps) if dominates(mu, nu)] for ps in parts]
+    shapes = list(_shapes(max_n, include_skew))
+    for shape, row in zip(shapes, _rows(shapes, parts)):
+        ps = parts[shape.size]
+        for a, b in pairs[shape.size]:
+            yield [] if row[a] <= row[b] else [
                 {
-                    "shape": label,
-                    "mu": format_parts(mu),
-                    "nu": format_parts(nu),
-                    "count_mu": counts[mu],
-                    "count_nu": counts[nu],
+                    "shape": _label(shape),
+                    "mu": format_parts(ps[a]),
+                    "nu": format_parts(ps[b]),
+                    "count_mu": row[a],
+                    "count_nu": row[b],
                 }
             ]
 

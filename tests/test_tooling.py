@@ -11,14 +11,17 @@ No function calls itself, so deep inputs cannot exhaust the stack, and no cache
 grows without bound in a long-lived process. The counting kernel never consults
 dominance, the order whose link to positivity the verifiers check it against.
 Every verifier suite has a test that injects a fault into kostka.verify and runs
-it, so each suite is seen to fail.
+it, so each suite is seen to fail. And a failing hypothesis test is reported as a
+failure, with the tests after it still run and reported.
 """
 
 import ast
 import importlib
 import importlib.util
 import inspect
+import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import kostka.verify
@@ -196,3 +199,31 @@ def test_every_suite_has_a_fault_test():
             fault_tested |= {getattr(call.func, "id", getattr(call.func, "attr", None)) for call in calls}
     missing = sorted(suites - fault_tested)
     assert not missing, "suites with no fault-injection test: " + ", ".join(missing)
+
+
+def test_failing_hypothesis_test_leaves_later_tests_reported(tmp_path):
+    # under filterwarnings = ["error"] alone, the hypothesis plugin's failure report raises a DeprecationWarning
+    # inside pytest's report hook: the run stops with INTERNALERROR and the tests after it go unreported
+    (tmp_path / "test_child.py").write_text(
+        textwrap.dedent(
+            """
+            from hypothesis import given, settings, strategies as st
+
+            @settings(database=None, derandomize=True)
+            @given(st.integers())
+            def test_fails(x):
+                assert x < 5
+
+            def test_later_one():
+                pass
+
+            def test_later_two():
+                pass
+            """
+        )
+    )
+    ini = ROOT / "pyproject.toml"
+    command = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(ini), "--rootdir", "."]
+    run = subprocess.run([*command, "test_child.py"], cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert "INTERNALERROR" not in run.stdout + run.stderr
+    assert "1 failed, 2 passed" in run.stdout

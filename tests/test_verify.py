@@ -15,6 +15,9 @@ from kostka import (
 )
 from kostka.verify import (
     STANDARD_SUITES,
+    _label,
+    _rows,
+    _shapes,
     bounded_content_family,
     brute_force_covers,
     canonical_box_skew_shapes,
@@ -388,6 +391,62 @@ class TestVerifiers:
         labels = {v["shape"] for v in verify_monotonicity(3, include_skew=True).violations}
         assert "2,1/1" in labels and "2" in labels
         assert not any(label.endswith("/0") for label in labels)
+
+    def test_monotonicity_fault_in_one_skew_shape_keeps_its_label(self, monkeypatch):
+        # 2,1,1/1 shares its walk memo with 3,1/1 and 2,2/1, listed before it, so a row handed to another
+        # shape of its group shows under that shape's label
+        def count(shape, mu, cache=None):
+            wrong = shape.outer == (2, 1, 1) and shape.inner == (1,) and mu == (3,)
+            return 9 if wrong else kostka_number(shape, mu, cache)
+
+        monkeypatch.setattr(kostka.verify, "kostka_number", count)
+        report = verify_monotonicity(4, include_skew=True)
+        assert report.checked == 1611
+        assert report.violations == [
+            {"shape": "2,1,1/1", "mu": "3", "nu": "2,1", "count_mu": 9, "count_nu": 1},
+            {"shape": "2,1,1/1", "mu": "3", "nu": "1,1,1", "count_mu": 9, "count_nu": 3},
+        ]
+
+    def test_monotonicity_rows_match_calls_without_memo(self):
+        parts = [partitions_of(m) for m in range(6)]
+        shapes = list(_shapes(5, True))
+        outers = {}
+        for shape in shapes:
+            outers.setdefault((shape.inner, shape.size), set()).add(shape.outer)
+        # the family lists the straight shapes with at most 4 rows twice, and many groups hold several outers
+        assert len({(s.outer, s.inner) for s in shapes}) < len(shapes)
+        assert sum(len(group) > 1 for group in outers.values()) > 50
+        rows = _rows(shapes, parts)
+        assert len(rows) == len(shapes)
+        for shape, row in zip(shapes, rows):
+            assert row == tuple(kostka_number(shape, mu) for mu in parts[shape.size]), _label(shape)
+
+    def test_monotonicity_walks_one_memo_per_inner_and_size(self, monkeypatch):
+        calls = []
+
+        def count(shape, mu, cache=None):
+            calls.append((shape.inner, shape.size, cache))
+            return kostka_number(shape, mu, cache)
+
+        monkeypatch.setattr(kostka.verify, "kostka_number", count)
+        assert verify_monotonicity(4, include_skew=True).ok
+        memos = {}
+        for inner, size, cache in calls:
+            assert isinstance(cache, dict)
+            assert memos.setdefault((inner, size), cache) is cache
+        # calls holds every memo alive, so no two of them can share an id
+        assert len({id(cache) for _, _, cache in calls}) == len(memos) == 62
+
+    def test_positivity_passes_no_memo(self, monkeypatch):
+        caches = []
+
+        def count(shape, mu, cache=None):
+            caches.append(cache)
+            return kostka_number(shape, mu, cache)
+
+        monkeypatch.setattr(kostka.verify, "kostka_number", count)
+        assert verify_positivity(4).ok
+        assert len(caches) == 1 + 1 + 4 + 9 + 25 and all(cache is None for cache in caches)
 
 
 class TestCanonicalSkewShapes:
