@@ -21,7 +21,9 @@ content walked with the frontier after each of its prefixes. An outer that
 widens the union clears the tables and the walk. A call walks its whole content,
 resuming after the longest prefix it shares with the last, and reads its outer
 off the frontier; a call that repeats the last content only reads. Records are
-updated in place, so a memo serves one thread at a time.
+updated in place, so a memo serves one thread at a time. kostka_matrix asks
+its first column entry by entry, then walks each later column with one call
+and reads every row off that walk's last frontier.
 """
 
 from __future__ import annotations
@@ -36,7 +38,8 @@ from .tableaux import SkewShape
 # a walk memo: (inner, outer size) -> its record [union, packed, tables, steps, frontiers]. union is the union
 # of the outers asked so far and packed maps each of them to its packed form; tables[part] maps a packed shape to
 # the shapes its strips of part cells reach inside union; steps is the last nonzero content walked from inner and
-# frontiers[k] the frontier after its first k parts. Every outer of one size shares the walk and its tables
+# frontiers[k] the frontier after its first k parts. Every outer of one size shares the walk and its tables, and
+# kostka_matrix reads every row of a later column off frontiers[-1] rather than asking each entry
 Walks = MutableMapping[tuple, list]
 
 
@@ -293,16 +296,22 @@ class KostkaMatrix(_Value):
 def kostka_matrix(n: int) -> KostkaMatrix:
     """K(lam, mu) for all partition pairs of n; rows are shapes, columns contents.
 
-    Every entry is one kostka_number call on one walk memo for the whole
-    matrix, made column by column. The first column fills the memo's union of
-    outer shapes; each later column is then one walk, for every row at once,
-    that resumes from the reverse-lexicographic prefix it shares with the column
-    before, and the rest of its calls only read. In-process on 2 CPUs, n = 16
-    took 0.11-0.14 s with the memo and 1.5-1.8 s without, n = 18 0.27-0.51 s
-    against 5.3-8.1 s.
+    The matrix is walked on one walk memo, column by column. The first column
+    asks kostka_number once per row, which fills the memo's union of outer
+    shapes; each later column is one kostka_number call, a walk for every row
+    at once that resumes from the reverse-lexicographic prefix it shares with
+    the column before, and every row's count is read off that walk's last
+    frontier. In-process on 2 CPUs, n = 16 took 0.032-0.036 s with the memo
+    and 1.2 s without, n = 18 0.088-0.095 s against 4.6-4.9 s.
     """
     parts = tuple(partitions_of(n))
     shapes = [SkewShape(lam) for lam in parts]
     memo: Walks = {}
-    columns = [[kostka_number(shape, mu, cache=memo) for shape in shapes] for mu in parts]
+    columns = [[kostka_number(shape, parts[0], cache=memo) for shape in shapes]]
+    for mu in parts[1:]:
+        kostka_number(shapes[0], mu, cache=memo)
+        # the first column widened the union to every row's outer, so no later call clears the frontier read here
+        _, packed, _, _, frontiers = memo[(), n]
+        frontier = frontiers[-1]
+        columns.append([frontier.get(packed[lam], 0) for lam in parts])
     return KostkaMatrix(n=n, partitions=parts, values=tuple(zip(*columns)))

@@ -290,14 +290,11 @@ class TestCaching:
 
         monkeypatch.setattr(kostka.engine, "kostka_number", record)
         kostka_matrix(6)
-        # one memo for the whole matrix, asked column by column: 11 runs of 11 calls, each run on one content
-        assert len(calls) == 121
+        # one memo for the whole matrix: 11 calls on (6,), one per row, then one call for each later column
+        assert len(calls) == 21
         memo = calls[0][1]
         assert memo is not None and all(cache is memo for _, cache in calls)
-        runs = [calls[k:k + 11] for k in range(0, 121, 11)]
-        assert [run[0][0] for run in runs] == partitions_of(6)
-        for run in runs:
-            assert all(content == run[0][0] for content, _ in run)
+        assert [content for content, _ in calls] == [(6,)] * 11 + partitions_of(6)[1:]
 
     def test_outers_widening_the_union_after_walks_match_no_memo(self):
         """Outers of one size share a record; each new corner of their union resets its tables and its walk."""
@@ -356,6 +353,13 @@ class TestKostkaMatrix:
     def test_n0_and_n1(self):
         assert kostka_matrix(0).values == ((1,),)
         assert kostka_matrix(1).values == ((1,),)
+
+    def test_entries_match_calls_without_memo(self):
+        # later columns are read off one walk's last frontier, not asked per entry
+        for n in range(11):
+            m = kostka_matrix(n)
+            for lam, row in zip(m.partitions, m.values):
+                assert row == tuple(kostka_number(lam, mu) for mu in m.partitions)
 
     def test_invariants_up_to_8(self):
         for n in range(9):
