@@ -22,13 +22,16 @@ widens the union clears the tables and the walk. A call walks its whole content,
 resuming after the longest prefix it shares with the last, and reads its outer
 off the frontier; a call that repeats the last content only reads. Records are
 updated in place, so a memo serves one thread at a time. kostka_matrix asks
-its first column entry by entry, then walks each later column with one call
-and reads every row off that walk's last frontier.
+its first column entry by entry, walks each later column only up to its
+trailing 1s, and adds the 1s of every column in one one-cell sweep whose
+frontier holds, per shape, one int with a fixed-width slot per column.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import sys
 from itertools import zip_longest
 from typing import Iterator, MutableMapping, Sequence
 
@@ -39,7 +42,7 @@ from .tableaux import SkewShape
 # of the outers asked so far and packed maps each of them to its packed form; tables[part] maps a packed shape to
 # the shapes its strips of part cells reach inside union; steps is the last nonzero content walked from inner and
 # frontiers[k] the frontier after its first k parts. Every outer of one size shares the walk and its tables, and
-# kostka_matrix reads every row of a later column off frontiers[-1] rather than asking each entry
+# kostka_matrix walks each later column up to its trailing 1s, then sweeps the 1s of every column through tables[1]
 Walks = MutableMapping[tuple, list]
 
 
@@ -147,36 +150,43 @@ def _resume(outer: Parts, inner: Parts, steps: Parts, memo: Walks) -> int:
     w = size.bit_length()
     if record is None:
         record = memo[inner, size] = [(), {}, {}, (), [{_pack(inner, w) if inner else 0: 1}]]
-    union, packed, tables, done, frontiers = record
+    union, packed, _, _, frontiers = record
     end = packed.get(outer)
     if end is None:
         end = packed[outer] = _pack(outer, w)
         wider = tuple(map(max, zip_longest(union, outer, fillvalue=0)))
         if wider != union:
             # the tables lack the strips into the new cells, and the walk's frontiers the shapes they reach
-            union = record[0] = wider
-            tables = record[2] = {}
-            done = record[3] = ()
+            record[0], record[2], record[3] = wider, {}, ()
             del frontiers[1:]
+    return _walk(record, steps, w).get(end, 0)
+
+
+def _walk(record: list, steps: Parts, w: int) -> dict[int, int]:
+    """The frontier after the nonzero parts steps on record, resuming after the prefix they share with the last walk."""
+    union, _, tables, done, frontiers = record
     if steps != done:
         k = 0
         while k < len(done) and k < len(steps) and done[k] == steps[k]:
             k += 1
         del frontiers[k + 1:]
-        frontier = frontiers[k]
         for part in steps[k:]:
-            table = tables.setdefault(part, {})
-            grown: dict[int, int] = {}
-            for shape, count in frontier.items():
-                targets = table.get(shape)
-                if targets is None:
-                    targets = table[shape] = _strips(shape, part, union, w)
-                for nu in targets:
-                    grown[nu] = grown.get(nu, 0) + count
-            frontier = grown
-            frontiers.append(grown)
+            frontiers.append(_step(frontiers[-1], part, tables, union, w))
         record[3] = steps
-    return frontiers[-1].get(end, 0)
+    return frontiers[-1]
+
+
+def _step(frontier: dict[int, int], part: int, tables: dict, union: Parts, w: int) -> dict[int, int]:
+    """The frontier after a strip of part cells, through tables[part], which gains the strips of the shapes it lacks."""
+    table = tables.setdefault(part, {})
+    grown: dict[int, int] = {}
+    for shape, count in frontier.items():
+        targets = table.get(shape)
+        if targets is None:
+            targets = table[shape] = _strips(shape, part, union, w)
+        for nu in targets:
+            grown[nu] = grown.get(nu, 0) + count
+    return grown
 
 
 def kostka_number(
@@ -296,22 +306,61 @@ class KostkaMatrix(_Value):
 def kostka_matrix(n: int) -> KostkaMatrix:
     """K(lam, mu) for all partition pairs of n; rows are shapes, columns contents.
 
-    The matrix is walked on one walk memo, column by column. The first column
-    asks kostka_number once per row, which fills the memo's union of outer
-    shapes; each later column is one kostka_number call, a walk for every row
-    at once that resumes from the reverse-lexicographic prefix it shares with
-    the column before, and every row's count is read off that walk's last
-    frontier. In-process on 2 CPUs, n = 16 took 0.032-0.036 s with the memo
-    and 1.2 s without, n = 18 0.088-0.095 s against 4.6-4.9 s.
+    The matrix is walked on one walk memo. The first column asks kostka_number
+    once per row, which fills the memo's union of outer shapes. Each later
+    column mu = (rho, 1^k) is walked on the memo only up to rho, in its own
+    order, and its frontier there goes into mu's slot of a shared frontier at
+    |rho| cells: one int per shape, with a fixed-width field per column. One
+    one-cell sweep from 0 to n cells then adds the trailing 1s of every column
+    at once, and each row's int is cut back into its counts. A count is at
+    most the number of words with its content, so at most n!, which sets the
+    slot width (one 64-bit word up to n = 20, two from 21 to 34): no slot
+    carries into the next. In-process on 2 CPUs, under varying load, n = 16
+    took 0.017-0.030 s, n = 20 0.11-0.16 s and n = 24 0.94-1.14 s, against
+    0.035-0.064 s, 0.30-0.52 s and 2.3-3.8 s when each later column was
+    walked whole.
     """
     parts = tuple(partitions_of(n))
-    shapes = [SkewShape(lam) for lam in parts]
+    if n < 2:
+        return KostkaMatrix(n=n, partitions=parts, values=((1,),))
     memo: Walks = {}
-    columns = [[kostka_number(shape, parts[0], cache=memo) for shape in shapes]]
-    for mu in parts[1:]:
-        kostka_number(shapes[0], mu, cache=memo)
-        # the first column widened the union to every row's outer, so no later call clears the frontier read here
-        _, packed, _, _, frontiers = memo[(), n]
-        frontier = frontiers[-1]
-        columns.append([frontier.get(packed[lam], 0) for lam in parts])
-    return KostkaMatrix(n=n, partitions=parts, values=tuple(zip(*columns)))
+    first = [kostka_number(lam, parts[0], cache=memo) for lam in parts]
+    # the first column widened the union to every row's outer, so no later walk clears the record's tables
+    record = memo[(), n]
+    union, packed, tables = record[:3]
+    w = n.bit_length()
+    words = -(-math.factorial(n).bit_length() // 64)
+    step = 8 * words
+    # slot 0 is the last column, (1^n): a column with more 1s starts its sweep smaller, so small shapes hold short ints
+    later = parts[:0:-1]
+    nbytes = step * len(later)
+    # levels[s] maps each shape of s cells to the (byte offset, count) pairs injected there: column mu = (rho, 1^k)
+    # with |rho| = s puts its frontier at rho into its slot, and the one-cell sweep adds the k trailing 1s
+    levels: list[dict[int, list[int]]] = [{} for _ in range(n + 1)]
+    for slot, mu in enumerate(later):
+        ones = mu.count(1)
+        level = levels[n - ones]
+        offset = step * slot
+        for shape, count in _walk(record, mu[: len(mu) - ones], w).items():
+            level.setdefault(shape, []).extend((offset, count))
+    frontier: dict[int, int] = {}
+    for size, level in enumerate(levels):
+        if size:
+            frontier = _step(frontier, 1, tables, union, w)
+        for shape, pairs in level.items():
+            block = bytearray(nbytes)
+            for k in range(0, len(pairs), 2):
+                block[pairs[k] : pairs[k] + step] = pairs[k + 1].to_bytes(step, "little")
+            frontier[shape] = frontier.get(shape, 0) + int.from_bytes(block, "little")
+        level.clear()
+    rows = []
+    for lam, count in zip(parts, first):
+        # native 64-bit words, most significant first: the slots in column order, each with its high word first
+        cells = memoryview(frontier.pop(packed[lam], 0).to_bytes(nbytes, sys.byteorder)).cast("Q")
+        if sys.byteorder == "little":
+            cells = cells[::-1]
+        values = cells[::words].tolist()
+        for k in range(1, words):
+            values = [high << 64 | low if high else low for high, low in zip(values, cells[k::words])]
+        rows.append((count, *values))
+    return KostkaMatrix(n=n, partitions=parts, values=tuple(rows))

@@ -1,6 +1,7 @@
 """The counting engine: walk values, long contents, matrices, and walk memos."""
 
 import csv
+import hashlib
 import io
 import json
 import random
@@ -16,6 +17,7 @@ from kostka import (
     KostkaMatrix,
     SizeMismatchError,
     SkewShape,
+    conjugate,
     count_bounded_compositions,
     dominates,
     enumerate_ssyt,
@@ -281,20 +283,39 @@ class TestCaching:
             assert kostka_number(shape, content, cache=memo) == kostka_number(shape, content)
 
     def test_matrix_walks_each_column_on_one_memo(self, monkeypatch):
-        calls = []
-        real = kostka.engine.kostka_number
+        calls, records, walked, corners = [], [], [], []
+        real_number, real_walk, real_strips = kostka.engine.kostka_number, kostka.engine._walk, kostka.engine._strips
 
-        def record(shape, content, cache=None):
+        def number(shape, content, cache=None):
             calls.append((content, cache))
-            return real(shape, content, cache=cache)
+            return real_number(shape, content, cache=cache)
 
-        monkeypatch.setattr(kostka.engine, "kostka_number", record)
+        def walk(record, steps, w):
+            records.append(record)
+            walked.append(steps)
+            return real_walk(record, steps, w)
+
+        def strips(shape, size, outer, w):
+            if size == 1:
+                corners.append(shape)
+            return real_strips(shape, size, outer, w)
+
+        monkeypatch.setattr(kostka.engine, "kostka_number", number)
+        monkeypatch.setattr(kostka.engine, "_walk", walk)
+        monkeypatch.setattr(kostka.engine, "_strips", strips)
         kostka_matrix(6)
-        # one memo for the whole matrix: 11 calls on (6,), one per row, then one call for each later column
-        assert len(calls) == 21
+        # one memo for the whole matrix: 11 calls on (6,), one per row, which fill its union
+        assert [content for content, _ in calls] == [(6,)] * 11
         memo = calls[0][1]
         assert memo is not None and all(cache is memo for _, cache in calls)
-        assert [content for content, _ in calls] == [(6,)] * 11 + partitions_of(6)[1:]
+        record = memo[(), 6]
+        assert len(memo) == 1 and all(r is record for r in records)
+        # each later column is walked on that record once, only up to its trailing 1s
+        assert walked[:11] == [(6,)] * 11
+        assert sorted(walked[11:]) == sorted(mu[: len(mu) - mu.count(1)] for mu in partitions_of(6)[1:])
+        assert all(1 not in steps for steps in walked)
+        # one sweep adds every column's 1s, building each one-cell table entry once
+        assert corners and len(corners) == len(set(corners)) == len(record[2][1])
 
     def test_outers_widening_the_union_after_walks_match_no_memo(self):
         """Outers of one size share a record; each new corner of their union resets its tables and its walk."""
@@ -355,11 +376,31 @@ class TestKostkaMatrix:
         assert kostka_matrix(1).values == ((1,),)
 
     def test_entries_match_calls_without_memo(self):
-        # later columns are read off one walk's last frontier, not asked per entry
+        # later columns come out of one packed one-cell sweep, not per-entry calls
         for n in range(11):
             m = kostka_matrix(n)
             for lam, row in zip(m.partitions, m.values):
                 assert row == tuple(kostka_number(lam, mu) for mu in m.partitions)
+
+    def test_one_and_two_word_slots(self):
+        # 20! < 2**64 <= 21!, so a count's slot is one 64-bit word at n = 20 and two at n = 21
+        assert factorial(20) < 2**64 <= factorial(21)
+        rng = random.Random(2021)
+        matrices = {n: kostka_matrix(n) for n in (20, 21)}
+        assert hashlib.sha256(matrices[20].to_csv().encode()).hexdigest().startswith("f4025188032ff5de")
+        for n, m in matrices.items():
+            for lam, row in zip(m.partitions, m.values):
+                # the (1^n) column against the hook-length formula
+                lam_t = conjugate(lam)
+                hooks = 1
+                for i, part in enumerate(lam):
+                    for j in range(part):
+                        hooks *= part - j + lam_t[j] - i - 1
+                assert row[-1] == factorial(n) // hooks
+                assert m.value(lam, lam) == 1
+            for _ in range(200):
+                lam, mu = rng.choice(m.partitions), rng.choice(m.partitions)
+                assert m.value(lam, mu) == kostka_number(lam, mu)
 
     def test_invariants_up_to_8(self):
         for n in range(9):
