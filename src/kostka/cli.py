@@ -34,8 +34,8 @@ from .partitions import (
 from .tableaux import SkewShape, semistandard_words
 
 Output = tuple[dict, Iterable[str]]
-# kostka_matrix time grows about 2.5x per +2 in n. On 2 CPUs, two runs per format, n=20 took 0.24-0.28 s with peak
-# RSS 23 MB for text, csv and json alike; n=22 0.57-0.79 s with 41 MB; n=24 1.3-1.8 s with 81 MB (RUSAGE_CHILDREN)
+# kostka_matrix time grows about 2.5x per +2 in n. On 2 CPUs, three runs per format, n=20 took 0.17-0.22 s with peak
+# RSS 23 MB for text, csv and json alike; n=22 0.47-0.59 s with 41 MB; n=24 1.1-1.5 s with 81 MB (RUSAGE_CHILDREN)
 MAX_MATRIX_N = 24
 # classes enumerates K(shape, mu) + K(shape, nu) fillings; two-row shapes are slowest per filling. Near 2,000
 # fillings, on 2 CPUs, (10,10) took 3-5 s and (12,12) 9-25 s, most of it in the enumerator's dead ends, which

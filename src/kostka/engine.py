@@ -220,6 +220,8 @@ def _json_array(items: list[str], indent: int) -> str:
 class KostkaMatrix(_Value):
     """The full table K(lam, mu) over all partitions of n, reverse-lexicographic order.
 
+    Entries are non-negative ints. Each *_lines method renders a row with one %-format string, built once per
+    call; "%d" % True is "1" where str(True) is "True", so to_json is the to_json_dict dumped only for plain ints.
     Equality, hash and repr read n, partitions and values, not the private position index.
     """
 
@@ -242,13 +244,10 @@ class KostkaMatrix(_Value):
         # entries are non-negative, so a column's longest number is its largest
         widths = [max(map(len, labels), default=0)]
         widths += [max(len(label), len(str(max(column)))) for label, column in zip(labels, zip(*self.values))]
-
-        def line(cells: list[str]) -> str:
-            return "  ".join(map(str.rjust, cells, widths)).rstrip()
-
-        yield line(["", *labels])
+        yield ("  ".join([f"%{width}s" for width in widths]) % ("", *labels)).rstrip()
+        fmt = "  ".join([f"%{widths[0]}s", *[f"%{width}d" for width in widths[1:]]])
         for label, row in zip(labels, self.values):
-            yield line([label, *map(str, row)])
+            yield fmt % (label, *row)
 
     def to_text(self) -> str:
         """Partitions label rows and columns; cells right-aligned, two spaces apart; no final newline."""
@@ -262,8 +261,9 @@ class KostkaMatrix(_Value):
         """
         labels = [f'"{label}"' if "," in label else label for label in map(format_parts, self.partitions)]
         yield ",".join(["", *labels]) if labels else '""'
+        fmt = "%s" + ",%d" * len(self.partitions)
         for label, row in zip(labels, self.values):
-            yield ",".join([label, *map(str, row)])
+            yield fmt % (label, *row)
 
     def to_csv(self) -> str:
         """Header row and column hold the partitions in the comma grammar."""
@@ -282,10 +282,11 @@ class KostkaMatrix(_Value):
             yield head + "]\n}"
             return
         yield head
-        last = len(self.values) - 1
-        for k, row in enumerate(self.values):
-            # decimal digits need no escaping
-            yield "    " + _json_array([f'"{v}"' for v in row], 4) + ("," if k < last else "")
+        # decimal digits need no escaping
+        fmt = "    " + _json_array(['"%d"'] * len(self.partitions), 4)
+        for row in self.values[:-1]:
+            yield fmt % row + ","
+        yield fmt % self.values[-1]
         yield "  ]\n}"
 
     def to_json(self) -> str:
@@ -316,9 +317,8 @@ def kostka_matrix(n: int) -> KostkaMatrix:
     most the number of words with its content, so at most n!, which sets the
     slot width (one 64-bit word up to n = 20, two from 21 to 34): no slot
     carries into the next. In-process on 2 CPUs, under varying load, n = 16
-    took 0.017-0.030 s, n = 20 0.11-0.16 s and n = 24 0.94-1.14 s, against
-    0.035-0.064 s, 0.30-0.52 s and 2.3-3.8 s when each later column was
-    walked whole.
+    took 0.017-0.030 s, n = 20 0.11-0.16 s and n = 24 0.94-1.14 s. The
+    matrix renders each row with one format string (see KostkaMatrix).
     """
     parts = tuple(partitions_of(n))
     if n < 2:

@@ -1,5 +1,6 @@
 """The command-line frontend: output formats, exit codes, and error reporting."""
 
+import hashlib
 import json
 import multiprocessing
 import os
@@ -96,6 +97,20 @@ class TestMatrix:
         code, out, _ = run(capsys, "matrix", "--n", "5", "--format", "json")
         assert code == 0
         assert out == kostka_matrix(5).to_json() + "\n"
+
+    def test_stdout_pinned_n16_n20(self, capsys):
+        # sha256 prefixes of the printed bytes; n = 20 csv is pinned beside the slot-width test in test_engine
+        pins = [
+            ("16", "text", "137bb1d38ae6e365"),
+            ("16", "csv", "e90e485d58f353c1"),
+            ("16", "json", "10cdd732558fc244"),
+            ("20", "text", "9e20dc33f562820f"),
+            ("20", "json", "f3ac442304c6bba5"),
+        ]
+        for n, fmt, prefix in pins:
+            code, out, err = run(capsys, "matrix", "--n", n, "--format", fmt)
+            assert (code, err) == (0, "")
+            assert hashlib.sha256(out.encode()).hexdigest()[:16] == prefix, (n, fmt)
 
 
 class TestCovers:

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import random
+import types
 from fractions import Fraction
 from math import factorial
 
@@ -447,3 +448,17 @@ class TestKostkaMatrix:
             assert "\n".join(m.csv_lines()) + "\n" == m.to_csv()
         # one string up to the matrix, one per matrix row, one to close
         assert len(list(kostka_matrix(6).json_lines())) == 11 + 2
+
+    def test_lines_are_built_one_row_at_a_time(self):
+        # `kostka matrix` prints each line as it comes, so a row must not be rendered before it is asked for:
+        # "%d" rejects NaN, which sits in the last row only
+        partitions = ((2,), (1, 1))
+        bad = KostkaMatrix(2, partitions, ((1, 1), (0, float("nan"))))
+        good = KostkaMatrix(2, partitions, ((1, 1), (0, 1)))
+        for method in ("text_lines", "csv_lines", "json_lines"):
+            lines = getattr(bad, method)()
+            assert isinstance(lines, types.GeneratorType)
+            # the header and the first row
+            assert [next(lines), next(lines)] == list(getattr(good, method)())[:2]
+            with pytest.raises(ValueError):
+                next(lines)
