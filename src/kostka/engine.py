@@ -21,10 +21,10 @@ content walked with the frontier after each of its prefixes. An outer that
 widens the union clears the tables and the walk. A call walks its whole content,
 resuming after the longest prefix it shares with the last, and reads its outer
 off the frontier; a call that repeats the last content only reads. Records are
-updated in place, so a memo serves one thread at a time. kostka_matrix asks
-its first column entry by entry, walks each later column only up to its
-trailing 1s, and adds the 1s of every column in one one-cell sweep whose
-frontier holds, per shape, one int with a fixed-width slot per column.
+updated in place, so a memo serves one thread at a time. One _sweep builds
+the rows of kostka_matrix and of the monotonicity suite: it walks each content
+only up to its trailing 1s and adds the 1s of every content in one one-cell
+sweep whose frontier holds, per shape, one int with a slot per content.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .tableaux import SkewShape
 # of the outers asked so far and packed maps each of them to its packed form; tables[part] maps a packed shape to
 # the shapes its strips of part cells reach inside union; steps is the last nonzero content walked from inner and
 # frontiers[k] the frontier after its first k parts. Every outer of one size shares the walk and its tables, and
-# kostka_matrix walks each later column up to its trailing 1s, then sweeps the 1s of every column through tables[1]
+# _sweep walks each later content up to its trailing 1s, then sweeps the 1s of every content through tables[1]
 Walks = MutableMapping[tuple, list]
 
 
@@ -304,48 +304,41 @@ class KostkaMatrix(_Value):
         }
 
 
-def kostka_matrix(n: int) -> KostkaMatrix:
-    """K(lam, mu) for all partition pairs of n; rows are shapes, columns contents.
+def _sweep(shapes: Sequence[SkewShape], contents: Sequence[Parts]) -> list[tuple[int, ...]]:
+    """Each shape's counts over contents, for shapes of one inner shape and size and that size's partitions_of.
 
-    The matrix is walked on one walk memo. The first column asks kostka_number
-    once per row, which fills the memo's union of outer shapes. Each later
-    column mu = (rho, 1^k) is walked on the memo only up to rho, in its own
-    order, and its frontier there goes into mu's slot of a shared frontier at
-    |rho| cells: one int per shape, with a fixed-width field per column. One
-    one-cell sweep from 0 to n cells then adds the trailing 1s of every column
-    at once, and each row's int is cut back into its counts. A count is at
-    most the number of words with its content, so at most n!, which sets the
-    slot width (one 64-bit word up to n = 20, two from 21 to 34): no slot
-    carries into the next. In-process on 2 CPUs, under varying load, n = 16
-    took 0.017-0.030 s, n = 20 0.11-0.16 s and n = 24 0.94-1.14 s. The
-    matrix renders each row with one format string (see KostkaMatrix).
+    The first content, the one-part one, asks kostka_number once per shape on one walk memo: that
+    fills the memo's union of outers, and only these calls show the memo to a tracer of kostka_number.
+    Each later content mu = (rho, 1^k) is walked only up to rho, and its frontier goes into mu's slot
+    of a frontier |rho| cells past the inner shape, one int per shape with a fixed-width slot per
+    content. One one-cell sweep adds the trailing 1s of every content at once. A count is at most
+    the number of words with its content, so at most size!, size being the cells of the skew shape:
+    a slot is one 64-bit word up to size 20, two from 21.
     """
-    parts = tuple(partitions_of(n))
-    if n < 2:
-        return KostkaMatrix(n=n, partitions=parts, values=((1,),))
     memo: Walks = {}
-    first = [kostka_number(lam, parts[0], cache=memo) for lam in parts]
-    # the first column widened the union to every row's outer, so no later walk clears the record's tables
-    record = memo[(), n]
+    first = [kostka_number(shape, contents[0], cache=memo) for shape in shapes]
+    # slot 0 is the last content, (1^size): one with more 1s starts its sweep smaller, so small shapes hold short ints
+    later = contents[:0:-1]
+    if not later:
+        return [(count,) for count in first]
+    size, w = shapes[0].size, sum(shapes[0].outer).bit_length()
+    # the shapes share one record, whose union the first content widened to every outer: no later walk clears it
+    (record,) = memo.values()
     union, packed, tables = record[:3]
-    w = n.bit_length()
-    words = -(-math.factorial(n).bit_length() // 64)
+    words = -(-math.factorial(size).bit_length() // 64)
     step = 8 * words
-    # slot 0 is the last column, (1^n): a column with more 1s starts its sweep smaller, so small shapes hold short ints
-    later = parts[:0:-1]
     nbytes = step * len(later)
-    # levels[s] maps each shape of s cells to the (byte offset, count) pairs injected there: column mu = (rho, 1^k)
-    # with |rho| = s puts its frontier at rho into its slot, and the one-cell sweep adds the k trailing 1s
-    levels: list[dict[int, list[int]]] = [{} for _ in range(n + 1)]
-    for slot, mu in enumerate(later):
+    # levels[s] maps each shape s cells past inner to the (byte offset, count) pairs injected there: content
+    # mu = (rho, 1^k) with |rho| = s puts its frontier at rho into its slot, and the one-cell sweep adds the k 1s
+    levels: list[dict[int, list[int]]] = [{} for _ in range(size + 1)]
+    for offset, mu in zip(range(0, nbytes, step), later):
         ones = mu.count(1)
-        level = levels[n - ones]
-        offset = step * slot
+        level = levels[size - ones]
         for shape, count in _walk(record, mu[: len(mu) - ones], w).items():
             level.setdefault(shape, []).extend((offset, count))
     frontier: dict[int, int] = {}
-    for size, level in enumerate(levels):
-        if size:
+    for cells, level in enumerate(levels):
+        if cells:
             frontier = _step(frontier, 1, tables, union, w)
         for shape, pairs in level.items():
             block = bytearray(nbytes)
@@ -354,13 +347,24 @@ def kostka_matrix(n: int) -> KostkaMatrix:
             frontier[shape] = frontier.get(shape, 0) + int.from_bytes(block, "little")
         level.clear()
     rows = []
-    for lam, count in zip(parts, first):
-        # native 64-bit words, most significant first: the slots in column order, each with its high word first
-        cells = memoryview(frontier.pop(packed[lam], 0).to_bytes(nbytes, sys.byteorder)).cast("Q")
+    for shape, count in zip(shapes, first):
+        # native 64-bit words, most significant first: the slots in content order, each with its high word first
+        cells = memoryview(frontier.get(packed[shape.outer], 0).to_bytes(nbytes, sys.byteorder)).cast("Q")
         if sys.byteorder == "little":
             cells = cells[::-1]
         values = cells[::words].tolist()
         for k in range(1, words):
             values = [high << 64 | low if high else low for high, low in zip(values, cells[k::words])]
         rows.append((count, *values))
-    return KostkaMatrix(n=n, partitions=parts, values=tuple(rows))
+    return rows
+
+
+def kostka_matrix(n: int) -> KostkaMatrix:
+    """K(lam, mu) for all partition pairs of n; rows are shapes, columns contents.
+
+    The rows come off one _sweep over the straight shapes of n, as the monotonicity suite's rows do. In-process
+    on 2 CPUs, n = 16 took 0.015-0.017 s, n = 20 0.09-0.10 s and n = 24 0.79-0.86 s. Each row renders with one
+    format string (see KostkaMatrix).
+    """
+    parts = tuple(partitions_of(n))
+    return KostkaMatrix(n, parts, tuple(_sweep([SkewShape(lam) for lam in parts], parts)))

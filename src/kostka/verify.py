@@ -21,7 +21,7 @@ from itertools import combinations, permutations, product, takewhile
 from typing import Callable, Iterator, Sequence
 
 from .counting import count_bounded_compositions, split_by_first_part
-from .engine import kostka_number
+from .engine import _sweep, kostka_number
 from .partitions import (
     COLUMN,
     Parts,
@@ -174,19 +174,15 @@ def verify_positivity(max_n: int) -> Checks:
 def _rows(shapes: Sequence[SkewShape], parts: Sequence[Sequence[Parts]]) -> list[tuple[int, ...]]:
     """Each shape's counts over parts[shape.size], in that order, listed as shapes are.
 
-    The shapes of one inner and size share one fresh walk memo, asked column by
-    column as kostka_matrix asks it: the first column, the one-part content,
-    fills the memo's union of outers, and each later column is one walk for
-    every shape of the group.
+    The shapes of one inner and size form a group, and each group's rows come
+    off one _sweep, the engine function that builds kostka_matrix's rows.
     """
     groups: dict[tuple, list[int]] = defaultdict(list)
     for k, shape in enumerate(shapes):
         groups[shape.inner, shape.size].append(k)
     rows: list[tuple[int, ...]] = [()] * len(shapes)
     for (_, size), members in groups.items():
-        memo: dict = {}
-        columns = [[kostka_number(shapes[k], mu, cache=memo) for k in members] for mu in parts[size]]
-        for k, row in zip(members, zip(*columns)):
+        for k, row in zip(members, _sweep([shapes[k] for k in members], parts[size])):
             rows[k] = row
     return rows
 
@@ -198,8 +194,8 @@ def verify_monotonicity(max_n: int, include_skew: bool = False) -> Checks:
     Straight shapes run over all partitions of each m <= max_n. With include_skew,
     translation-canonical skew shapes with up to max_n cells fitting a 4-row by
     max_n-column box run as well. Each shape's counts form a row over the
-    partitions of its size, read off one column walk per inner shape and size
-    (see _rows), and each dominance pair is a pair of positions in that row.
+    partitions of its size, read off one _sweep per inner shape and size (see
+    _rows), and each dominance pair is a pair of positions in that row.
     """
     # dominance depends on the size only, so each size's partitions and pairs are listed once
     parts = [partitions_of(m) for m in range(max_n + 1)]

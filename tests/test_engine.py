@@ -403,6 +403,18 @@ class TestKostkaMatrix:
                 lam, mu = rng.choice(m.partitions), rng.choice(m.partitions)
                 assert m.value(lam, mu) == kostka_number(lam, mu)
 
+    def test_two_word_slots_on_a_skew_group(self):
+        # 21 cells past the inner shape (1,), so each count's slot is two 64-bit words, as in the matrix at n = 21
+        outers = [(21, 1), (11, 11), (8, 7, 7), (6, 6, 5, 5), (12, 6, 3, 1)]
+        shapes = [SkewShape(outer, (1,)) for outer in outers]
+        contents = partitions_of(21)
+        rows = kostka.engine._sweep(shapes, contents)
+        assert [len(row) for row in rows] == [len(contents)] * len(shapes)
+        columns = random.Random(21).sample(range(len(contents) - 1), 40) + [len(contents) - 1]
+        for shape, row in zip(shapes, rows):
+            for k in columns:
+                assert row[k] == kostka_number(shape, contents[k]), (shape, contents[k])
+
     def test_invariants_up_to_8(self):
         for n in range(9):
             m = kostka_matrix(n)

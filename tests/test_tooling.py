@@ -3,8 +3,9 @@
 The names the benchmark tracer wraps must stay in the package: perfbench/tracer.py
 skips a name it cannot find, and the metrics of that name then go missing from a
 traced run. These checks fail first instead, as they do for a change that moves one
-of the suite totals pinned in perfbench/workloads.py. Every function reads each of its
-parameters, so no argument is accepted and silently ignored. And the package
+of the suite totals pinned in perfbench/workloads.py or leaves a traced workload
+without one of the per-layer metrics that BENCHMARK.json declares. Every function
+reads each of its parameters, so no argument is accepted and silently ignored. And the package
 imports only the standard library and itself, so its runtime needs nothing else, and
 never dataclasses, whose imports would slow every start-up.
 No function calls itself, so deep inputs cannot exhaust the stack, and no cache
@@ -19,6 +20,8 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import json
+import os
 import subprocess
 import sys
 import textwrap
@@ -57,6 +60,19 @@ def test_pinned_suite_totals_hold():
     reports = kostka.run_standard_suites(workloads.VERIFY_MAX_N)
     assert [(r.name, r.checked) for r in reports] == list(workloads.VERIFY_SUITES)
     assert all(r.ok for r in reports)
+
+
+def test_traced_children_report_every_layer_metric():
+    # the benchmark refuses a traced run that lacks a per-layer metric; engine.memo_*, for one, shows only
+    # while some call hands kostka_number a cache, so a change that drops every such call fails here first
+    per_layer = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    names = {metric["name"] for metric in per_layer} - {"trace_overhead_ratio"}
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    for workload in ("matrix", "verify", "queries"):
+        command = [sys.executable, str(ROOT / "perfbench" / "child.py"), workload, "1", "0", "1"]
+        run = subprocess.run(command, env=env, capture_output=True, text=True, timeout=120, check=True)
+        missing = sorted(names - set(json.loads(run.stdout)["layers"]))
+        assert not missing, f"traced {workload} run lacks: " + ", ".join(missing)
 
 
 def test_traced_parameters_remain():

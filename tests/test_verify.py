@@ -13,6 +13,7 @@ from kostka import (
     kostka_number,
     partitions_of,
 )
+from kostka.engine import _sweep
 from kostka.verify import (
     STANDARD_SUITES,
     _label,
@@ -377,7 +378,9 @@ class TestVerifiers:
 
     def test_monotonicity_fault_injection(self, monkeypatch):
         monkeypatch.setattr(
-            kostka.verify, "kostka_number", lambda shape, mu, cache=None: 2 if mu == (shape.size,) else 1
+            kostka.verify,
+            "_sweep",
+            lambda shapes, contents: [tuple(2 if mu == (s.size,) else 1 for mu in contents) for s in shapes],
         )
         report = verify_monotonicity(3)
         assert not report.ok
@@ -386,20 +389,22 @@ class TestVerifiers:
 
     def test_monotonicity_labels_skew_and_straight_shapes_alike(self, monkeypatch):
         monkeypatch.setattr(
-            kostka.verify, "kostka_number", lambda shape, mu, cache=None: 2 if mu == (shape.size,) else 1
+            kostka.verify,
+            "_sweep",
+            lambda shapes, contents: [tuple(2 if mu == (s.size,) else 1 for mu in contents) for s in shapes],
         )
         labels = {v["shape"] for v in verify_monotonicity(3, include_skew=True).violations}
         assert "2,1/1" in labels and "2" in labels
         assert not any(label.endswith("/0") for label in labels)
 
     def test_monotonicity_fault_in_one_skew_shape_keeps_its_label(self, monkeypatch):
-        # 2,1,1/1 shares its walk memo with 3,1/1 and 2,2/1, listed before it, so a row handed to another
+        # 2,1,1/1 shares its sweep with 3,1/1 and 2,2/1, listed before it, so a row handed to another
         # shape of its group shows under that shape's label
-        def count(shape, mu, cache=None):
-            wrong = shape.outer == (2, 1, 1) and shape.inner == (1,) and mu == (3,)
-            return 9 if wrong else kostka_number(shape, mu, cache)
+        def sweep(shapes, contents):
+            wrong = SkewShape((2, 1, 1), (1,))
+            return [(9, *row[1:]) if shape == wrong else row for shape, row in zip(shapes, _sweep(shapes, contents))]
 
-        monkeypatch.setattr(kostka.verify, "kostka_number", count)
+        monkeypatch.setattr(kostka.verify, "_sweep", sweep)
         report = verify_monotonicity(4, include_skew=True)
         assert report.checked == 1611
         assert report.violations == [
@@ -422,20 +427,19 @@ class TestVerifiers:
             assert row == tuple(kostka_number(shape, mu) for mu in parts[shape.size]), _label(shape)
 
     def test_monotonicity_walks_one_memo_per_inner_and_size(self, monkeypatch):
-        calls = []
+        # each _sweep walks one memo, so one call per (inner, size) group is one memo per group
+        groups = []
 
-        def count(shape, mu, cache=None):
-            calls.append((shape.inner, shape.size, cache))
-            return kostka_number(shape, mu, cache)
+        def sweep(shapes, contents):
+            groups.append(({(shape.inner, shape.size) for shape in shapes}, contents))
+            return _sweep(shapes, contents)
 
-        monkeypatch.setattr(kostka.verify, "kostka_number", count)
+        monkeypatch.setattr(kostka.verify, "_sweep", sweep)
         assert verify_monotonicity(4, include_skew=True).ok
-        memos = {}
-        for inner, size, cache in calls:
-            assert isinstance(cache, dict)
-            assert memos.setdefault((inner, size), cache) is cache
-        # calls holds every memo alive, so no two of them can share an id
-        assert len({id(cache) for _, _, cache in calls}) == len(memos) == 62
+        for keys, contents in groups:
+            (key,) = keys
+            assert contents == partitions_of(key[1])
+        assert len({key for keys, _ in groups for key in keys}) == len(groups) == 62
 
     def test_positivity_passes_no_memo(self, monkeypatch):
         caches = []
