@@ -35,13 +35,13 @@ from .tableaux import SkewShape, semistandard_words
 
 Output = tuple[dict, Iterable[str]]
 # kostka_matrix time grows about 2.5x per +2 in n. On 2 CPUs, three runs per format, n=20 took 0.17-0.22 s with peak
-# RSS 23 MB for text, csv and json alike; n=22 0.47-0.59 s with 41 MB; n=24 1.1-1.5 s with 81 MB (RUSAGE_CHILDREN)
+# RSS 23 MB for text, csv and json alike; n=22 0.47-0.65 s with 39 MB; n=24 0.88-1.55 s with 73 MB (os.wait4)
 MAX_MATRIX_N = 24
 # classes enumerates K(shape, mu) + K(shape, nu) fillings; two-row shapes are slowest per filling. Near 2,000
 # fillings, on 2 CPUs, (10,10) took 3-5 s and (12,12) 9-25 s, most of it in the enumerator's dead ends, which
 # the cap does not bound: a (14,14) request with 1,818 fillings ran past 2 minutes
 MAX_CLASSES_FILLINGS = 2000
-# verify time grows about 6x per +1 in max_n; on 2 CPUs (median of 3 runs) max_n=7 took 1.6 s, max_n=8 9.6 s and 47 MB peak RSS
+# verify time grows about 6x per +1 in max_n; on 2 CPUs (median of 3 runs) max_n=7 took 1.2 s, max_n=8 7.6 s and 47 MB peak RSS
 MAX_VERIFY_N = 8
 
 

@@ -311,9 +311,11 @@ def _sweep(shapes: Sequence[SkewShape], contents: Sequence[Parts]) -> list[tuple
     fills the memo's union of outers, and only these calls show the memo to a tracer of kostka_number.
     Each later content mu = (rho, 1^k) is walked only up to rho, and its frontier goes into mu's slot
     of a frontier |rho| cells past the inner shape, one int per shape with a fixed-width slot per
-    content. One one-cell sweep adds the trailing 1s of every content at once. A count is at most
-    the number of words with its content, so at most size!, size being the cells of the skew shape:
-    a slot is one 64-bit word up to size 20, two from 21.
+    content. One one-cell sweep adds the trailing 1s of every content at once. Standardization maps
+    the fillings of a shape one-to-one into its standard fillings, size being its cells. A straight
+    shape lam has f^lam <= isqrt(size!) of those, since the squares of the f^lam sum to size! (RSK),
+    and a skew shape at most size!. So a straight group's slot is one 64-bit word up to size 34, and
+    a skew group's one word up to size 20 and two from 21.
     """
     memo: Walks = {}
     first = [kostka_number(shape, contents[0], cache=memo) for shape in shapes]
@@ -325,7 +327,8 @@ def _sweep(shapes: Sequence[SkewShape], contents: Sequence[Parts]) -> list[tuple
     # the shapes share one record, whose union the first content widened to every outer: no later walk clears it
     (record,) = memo.values()
     union, packed, tables = record[:3]
-    words = -(-math.factorial(size).bit_length() // 64)
+    bound = math.factorial(size) if shapes[0].inner else math.isqrt(math.factorial(size))
+    words = -(-bound.bit_length() // 64)
     step = 8 * words
     nbytes = step * len(later)
     # levels[s] maps each shape s cells past inner to the (byte offset, count) pairs injected there: content
@@ -363,8 +366,8 @@ def kostka_matrix(n: int) -> KostkaMatrix:
     """K(lam, mu) for all partition pairs of n; rows are shapes, columns contents.
 
     The rows come off one _sweep over the straight shapes of n, as the monotonicity suite's rows do. In-process
-    on 2 CPUs, n = 16 took 0.015-0.017 s, n = 20 0.09-0.10 s and n = 24 0.79-0.86 s. Each row renders with one
-    format string (see KostkaMatrix).
+    on 2 CPUs, five runs each, n = 16 took 0.018-0.029 s, n = 20 0.10-0.16 s and n = 24 0.68-0.99 s with 77 MB
+    peak RSS. Each row renders with one format string (see KostkaMatrix).
     """
     parts = tuple(partitions_of(n))
     return KostkaMatrix(n, parts, tuple(_sweep([SkewShape(lam) for lam in parts], parts)))

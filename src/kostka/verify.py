@@ -33,10 +33,9 @@ from .partitions import (
     format_parts,
     full_transfer_chain,
     partitions_of,
-    transfer_target,
 )
 from .tableaux import SkewShape, semistandard_words, word_content
-from .transfer_classes import masked_word
+from .transfer_classes import _mask_table, masked_word
 
 _MAX_SHOWN = 50
 Checks = Iterator[list[dict]]
@@ -251,7 +250,7 @@ def verify_covers(max_n: int) -> Checks:
 
 def _brute_bounded_counts(caps: tuple[int, ...]) -> Counter:
     """Histogram of sums over the raw product space; the oracle for count_bounded_compositions."""
-    return Counter(sum(vec) for vec in product(*(range(c + 1) for c in caps)))
+    return Counter(map(sum, product(*[range(c + 1) for c in caps])))
 
 
 @_suite("bounded-counts")
@@ -277,9 +276,11 @@ def verify_bounded_counts() -> Checks:
                 if counts[a] != counts[m - a]:
                     found.append({"caps": caps, "total": a, "kind": "symmetry"})
                 yield found
-            for a in totals:
-                for b in totals:
-                    holds = abs(2 * a - m) < abs(2 * b - m) or counts[a] <= counts[b]
+            # each total's distance from the peak, doubled to stay integral
+            far = [abs(2 * a - m) for a in totals]
+            for a, far_a in zip(totals, far):
+                for b, far_b in zip(totals, far):
+                    holds = far_a < far_b or counts[a] <= counts[b]
                     yield [] if holds else [{"caps": caps, "a": a, "b": b, "kind": "monotonicity"}]
             if caps and caps[0] >= 1:
                 for a in totals:
@@ -345,8 +346,11 @@ def verify_adjacent_transfer(max_cells: int, include_skew: bool = False) -> Chec
             for i, (part, below) in enumerate(zip(mu, mu[1:] + (0,)), start=1):
                 if part <= below:
                     continue
-                nu = transfer_target(mu, i)
+                # transfer_target(mu, i), whose precondition is part > below; nu's last part stays positive
+                nu = mu[: i - 1] + (part - 1, below + 1) + mu[i + 1 :]
                 nu_words = census.get(nu, [])
+                # masked_word(word, i) for the bytes words of the census, one table per check
+                table = _mask_table(i)
                 found = []
                 if len(mu_words) > len(nu_words):
                     found.append(
@@ -361,10 +365,10 @@ def verify_adjacent_transfer(max_cells: int, include_skew: bool = False) -> Chec
                 # per class, how many more fillings mu has than nu; only mu's classes can fall short
                 excess: dict = {}
                 for word in mu_words:
-                    key = masked_word(word, i)
+                    key = word.translate(table) if type(word) is bytes else masked_word(word, i)
                     excess[key] = excess.get(key, 0) + 1
                 for word in nu_words:
-                    key = masked_word(word, i)
+                    key = word.translate(table) if type(word) is bytes else masked_word(word, i)
                     if key in excess:
                         excess[key] -= 1
                 short = []

@@ -7,7 +7,7 @@ import json
 import random
 import types
 from fractions import Fraction
-from math import factorial
+from math import factorial, isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -383,9 +383,9 @@ class TestKostkaMatrix:
             for lam, row in zip(m.partitions, m.values):
                 assert row == tuple(kostka_number(lam, mu) for mu in m.partitions)
 
-    def test_one_and_two_word_slots(self):
-        # 20! < 2**64 <= 21!, so a count's slot is one 64-bit word at n = 20 and two at n = 21
-        assert factorial(20) < 2**64 <= factorial(21)
+    def test_one_word_slots_past_20_factorial(self):
+        # 20! < 2**64 <= 21!, but a straight shape's counts are at most isqrt(n!): one 64-bit word at n = 20 and 21
+        assert factorial(20) < 2**64 <= factorial(21) and isqrt(factorial(21)) < 2**64
         rng = random.Random(2021)
         matrices = {n: kostka_matrix(n) for n in (20, 21)}
         assert hashlib.sha256(matrices[20].to_csv().encode()).hexdigest().startswith("f4025188032ff5de")
@@ -398,6 +398,7 @@ class TestKostkaMatrix:
                     for j in range(part):
                         hooks *= part - j + lam_t[j] - i - 1
                 assert row[-1] == factorial(n) // hooks
+                assert max(row) <= isqrt(factorial(n))
                 assert m.value(lam, lam) == 1
             for _ in range(200):
                 lam, mu = rng.choice(m.partitions), rng.choice(m.partitions)

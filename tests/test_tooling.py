@@ -7,7 +7,8 @@ of the suite totals pinned in perfbench/workloads.py or leaves a traced workload
 without one of the per-layer metrics that BENCHMARK.json declares. Every function
 reads each of its parameters, so no argument is accepted and silently ignored. And the package
 imports only the standard library and itself, so its runtime needs nothing else, and
-never dataclasses, whose imports would slow every start-up.
+never dataclasses, whose imports would slow every start-up. Outside __init__.py, which
+re-exports, no module imports a name it never uses.
 No function calls itself, so deep inputs cannot exhaust the stack, and no cache
 grows without bound in a long-lived process. The counting kernel never consults
 dominance, the order whose link to positivity the verifiers check it against.
@@ -120,6 +121,24 @@ def package_imports():
 def test_imports_only_the_standard_library():
     outside = [f"{at} {top}" for at, top in package_imports() if top not in sys.stdlib_module_names | {"kostka"}]
     assert not outside, "imports outside the standard library: " + ", ".join(outside)
+
+
+def test_every_imported_name_is_used():
+    # __init__.py imports to re-export; every other module reads each name it imports
+    unused = []
+    for path, tree in package_trees():
+        if path.name == "__init__.py":
+            continue
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.partition(".")[0]
+                    if bound not in read:
+                        unused.append(f"{path.name}:{node.lineno} {bound}")
+    assert not unused, "imported and never used: " + ", ".join(unused)
 
 
 def test_no_module_imports_dataclasses():

@@ -300,6 +300,24 @@ class TestContentCensus:
         monkeypatch.setattr(kostka.verify, "content_census", lambda shape, caps: real(shape, (shape.size,) * len(caps)))
         assert [(r.checked, r.violations) for r in (verify_adjacent_transfer(*args) for args in runs)] == capped
 
+    def test_adjacent_transfer_keys_tuple_words_as_bytes_words(self, monkeypatch):
+        # bytes words are keyed by one translate table per check, other words by masked_word: the classes must
+        # agree, on the true census and on one that drops every content's last filling, so that classes fall short
+        runs = [(5,), (4, True)]
+        real = kostka.verify.content_census
+
+        def outcomes(pack, dropped):
+            def census(shape, caps):
+                return {mu: [pack(w) for w in words[: len(words) - dropped]] for mu, words in real(shape, caps).items()}
+
+            monkeypatch.setattr(kostka.verify, "content_census", census)
+            return [(r.checked, r.violations) for r in (verify_adjacent_transfer(*args) for args in runs)]
+
+        for dropped in (0, 1):
+            as_bytes = outcomes(bytes, dropped)
+            assert [any(v.get("kind") == "class" for v in found) for _, found in as_bytes] == [bool(dropped)] * 2
+            assert outcomes(tuple, dropped) == as_bytes
+
 
 class TestReporting:
     def test_text_truncates_long_violation_lists(self):
