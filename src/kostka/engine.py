@@ -12,19 +12,17 @@ verify, and it never reorders the content, whose symmetry the
 permutation-invariance suite checks. Each shape in the walk is packed into one
 int, a fixed number of bits per row, so a step adds to an int rather than
 rebuilding a tuple. Nothing is kept between calls unless the caller passes a
-walk memo. It is opaque and holds one record per inner shape and outer size.
-Inside a bound, the count at a shape does not depend on the bound, so one walk
-inside the union of several outer shapes serves each of them. A record keeps
-the union of the outers asked so far, each outer packed w = size.bit_length()
-bits a row, one strip table per part size built inside the union, and the last
-content walked with the frontier after each of its prefixes. An outer that
-widens the union clears the tables and the walk. A call walks its whole content,
-resuming after the longest prefix it shares with the last, and reads its outer
-off the frontier; a call that repeats the last content only reads. Records are
+walk memo. It is opaque and holds one record per inner and outer shape: one
+strip table per part size, and the last content walked with the frontier after
+each of its prefixes. A call walks its whole content, resuming after the
+longest prefix it shares with the last on its record, and reads the count off
+the frontier; a call that repeats the last content only reads. Records are
 updated in place, so a memo serves one thread at a time. One _sweep builds
-the rows of kostka_matrix and of the monotonicity suite: it walks each content
-only up to its trailing 1s and adds the 1s of every content in one one-cell
-sweep whose frontier holds, per shape, one int with a slot per content.
+the rows of kostka_matrix and of the monotonicity suite. Inside a bound, the
+count at a shape does not depend on the bound, so it walks each content once,
+inside the union of its shapes' outers and only up to the content's trailing
+1s, then adds the 1s of every content in one one-cell sweep whose frontier
+holds, per shape, one int with a slot per content.
 """
 
 from __future__ import annotations
@@ -38,11 +36,10 @@ from typing import Iterator, MutableMapping, Sequence
 from .partitions import Parts, _Value, format_parts, partition, partitions_of
 from .tableaux import SkewShape
 
-# a walk memo: (inner, outer size) -> its record [union, packed, tables, steps, frontiers]. union is the union
-# of the outers asked so far and packed maps each of them to its packed form; tables[part] maps a packed shape to
-# the shapes its strips of part cells reach inside union; steps is the last nonzero content walked from inner and
-# frontiers[k] the frontier after its first k parts. Every outer of one size shares the walk and its tables, and
-# _sweep walks each later content up to its trailing 1s, then sweeps the 1s of every content through tables[1]
+# a walk memo: (inner, outer) -> its record [tables, steps, frontiers]. tables[part] maps a packed shape to the
+# shapes its strips of part cells reach inside outer; steps is the last nonzero content walked from inner and
+# frontiers[k] the frontier after its first k parts. _sweep walks a record of this form inside the union of its
+# shapes' outers, each later content up to its trailing 1s, then sweeps the 1s of every content through tables[1]
 Walks = MutableMapping[tuple, list]
 
 
@@ -144,46 +141,36 @@ def _kostka(outer: Parts, inner: Parts, content: Parts, memo: Walks | None) -> i
 
 
 def _resume(outer: Parts, inner: Parts, steps: Parts, memo: Walks) -> int:
-    """_kostka's count of the nonzero parts steps, walked inside the union of the outers on its record."""
-    size = sum(outer)
-    record = memo.get((inner, size))
-    w = size.bit_length()
+    """_kostka's count of the nonzero parts steps, walked on the record of inner and outer."""
+    w = outer[0].bit_length()
+    record = memo.get((inner, outer))
     if record is None:
-        record = memo[inner, size] = [(), {}, {}, (), [{_pack(inner, w) if inner else 0: 1}]]
-    union, packed, _, _, frontiers = record
-    end = packed.get(outer)
-    if end is None:
-        end = packed[outer] = _pack(outer, w)
-        wider = tuple(map(max, zip_longest(union, outer, fillvalue=0)))
-        if wider != union:
-            # the tables lack the strips into the new cells, and the walk's frontiers the shapes they reach
-            record[0], record[2], record[3] = wider, {}, ()
-            del frontiers[1:]
-    return _walk(record, steps, w).get(end, 0)
+        record = memo[inner, outer] = [{}, (), [{_pack(inner, w): 1}]]
+    return _walk(record, steps, outer, w).get(_pack(outer, w), 0)
 
 
-def _walk(record: list, steps: Parts, w: int) -> dict[int, int]:
-    """The frontier after the nonzero parts steps on record, resuming after the prefix they share with the last walk."""
-    union, _, tables, done, frontiers = record
+def _walk(record: list, steps: Parts, bound: Parts, w: int) -> dict[int, int]:
+    """The frontier inside bound after the nonzero parts steps, resuming after the prefix they share with the last."""
+    tables, done, frontiers = record
     if steps != done:
         k = 0
         while k < len(done) and k < len(steps) and done[k] == steps[k]:
             k += 1
         del frontiers[k + 1:]
         for part in steps[k:]:
-            frontiers.append(_step(frontiers[-1], part, tables, union, w))
-        record[3] = steps
+            frontiers.append(_step(frontiers[-1], part, tables, bound, w))
+        record[1] = steps
     return frontiers[-1]
 
 
-def _step(frontier: dict[int, int], part: int, tables: dict, union: Parts, w: int) -> dict[int, int]:
+def _step(frontier: dict[int, int], part: int, tables: dict, bound: Parts, w: int) -> dict[int, int]:
     """The frontier after a strip of part cells, through tables[part], which gains the strips of the shapes it lacks."""
     table = tables.setdefault(part, {})
     grown: dict[int, int] = {}
     for shape, count in frontier.items():
         targets = table.get(shape)
         if targets is None:
-            targets = table[shape] = _strips(shape, part, union, w)
+            targets = table[shape] = _strips(shape, part, bound, w)
         for nu in targets:
             grown[nu] = grown.get(nu, 0) + count
     return grown
@@ -200,9 +187,9 @@ def kostka_number(
     content is a composition; trailing zeros are irrelevant and stripped. The
     total must equal the cell count. cache, when given, is an opaque walk memo
     (see the module docstring) that calls can share, one thread at a time. Calls
-    on one inner shape and outer size share one walk inside the union of their
-    outers: a call resumes after the content prefix it shares with the last, and
-    one that repeats the last content reads its count off the kept frontier.
+    on one inner and outer shape share one walk: a call resumes after the content
+    prefix it shares with the last, and one that repeats the last content reads
+    its count off the kept frontier.
     """
     if not isinstance(shape, SkewShape):
         shape = SkewShape(shape)
@@ -307,27 +294,27 @@ class KostkaMatrix(_Value):
 def _sweep(shapes: Sequence[SkewShape], contents: Sequence[Parts]) -> list[tuple[int, ...]]:
     """Each shape's counts over contents, for shapes of one inner shape and size and that size's partitions_of.
 
-    The first content, the one-part one, asks kostka_number once per shape on one walk memo: that
-    fills the memo's union of outers, and only these calls show the memo to a tracer of kostka_number.
-    Each later content mu = (rho, 1^k) is walked only up to rho, and its frontier goes into mu's slot
-    of a frontier |rho| cells past the inner shape, one int per shape with a fixed-width slot per
-    content. One one-cell sweep adds the trailing 1s of every content at once. Standardization maps
-    the fillings of a shape one-to-one into its standard fillings, size being its cells. A straight
-    shape lam has f^lam <= isqrt(size!) of those, since the squares of the f^lam sum to size! (RSK),
-    and a skew shape at most size!. So a straight group's slot is one 64-bit word up to size 34, and
-    a skew group's one word up to size 20 and two from 21.
+    The first content, the one-part one, asks kostka_number once per shape without a memo: that gives
+    its count, and these are the only calls a tracer of kostka_number sees. Each later content
+    mu = (rho, 1^k) is walked once, inside the union of the outers and only up to rho, and its
+    frontier goes into mu's slot of a frontier |rho| cells past the inner shape, one int per shape
+    with a fixed-width slot per content. One one-cell sweep adds the trailing 1s of every content at
+    once. Standardization maps the fillings of a shape one-to-one into its standard fillings, size
+    being its cells. A straight shape lam has f^lam <= isqrt(size!) of those, since the squares of
+    the f^lam sum to size! (RSK), and a skew shape at most size!. So a straight group's slot is one
+    64-bit word up to size 34, and a skew group's one word up to size 20 and two from 21.
     """
-    memo: Walks = {}
-    first = [kostka_number(shape, contents[0], cache=memo) for shape in shapes]
+    first = [kostka_number(shape, contents[0]) for shape in shapes]
     # slot 0 is the last content, (1^size): one with more 1s starts its sweep smaller, so small shapes hold short ints
     later = contents[:0:-1]
     if not later:
         return [(count,) for count in first]
-    size, w = shapes[0].size, sum(shapes[0].outer).bit_length()
-    # the shapes share one record, whose union the first content widened to every outer: no later walk clears it
-    (record,) = memo.values()
-    union, packed, tables = record[:3]
-    bound = math.factorial(size) if shapes[0].inner else math.isqrt(math.factorial(size))
+    size, inner = shapes[0].size, shapes[0].inner
+    union = tuple(map(max, zip_longest(*[shape.outer for shape in shapes], fillvalue=0)))
+    w = union[0].bit_length()
+    tables: dict = {}
+    record = [tables, (), [{_pack(inner, w): 1}]]
+    bound = math.factorial(size) if inner else math.isqrt(math.factorial(size))
     words = -(-bound.bit_length() // 64)
     step = 8 * words
     nbytes = step * len(later)
@@ -337,7 +324,7 @@ def _sweep(shapes: Sequence[SkewShape], contents: Sequence[Parts]) -> list[tuple
     for offset, mu in zip(range(0, nbytes, step), later):
         ones = mu.count(1)
         level = levels[size - ones]
-        for shape, count in _walk(record, mu[: len(mu) - ones], w).items():
+        for shape, count in _walk(record, mu[: len(mu) - ones], union, w).items():
             level.setdefault(shape, []).extend((offset, count))
     frontier: dict[int, int] = {}
     for cells, level in enumerate(levels):
@@ -352,7 +339,7 @@ def _sweep(shapes: Sequence[SkewShape], contents: Sequence[Parts]) -> list[tuple
     rows = []
     for shape, count in zip(shapes, first):
         # native 64-bit words, most significant first: the slots in content order, each with its high word first
-        cells = memoryview(frontier.get(packed[shape.outer], 0).to_bytes(nbytes, sys.byteorder)).cast("Q")
+        cells = memoryview(frontier.get(_pack(shape.outer, w), 0).to_bytes(nbytes, sys.byteorder)).cast("Q")
         if sys.byteorder == "little":
             cells = cells[::-1]
         values = cells[::words].tolist()

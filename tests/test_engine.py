@@ -242,6 +242,13 @@ class TestTrailingOnes:
                 assert kostka_number(shape, content, cache=memo) == kostka_number(shape, content)
 
 
+# outers of one size, none holding all the others, and contents walked on each of them
+SAME_SIZE_OUTERS = [(2, 2, 2, 1), (3, 2, 1, 1), (3, 3, 1), (4, 2, 1), (5, 1, 1), (7,), (1,) * 7, (4, 3)]
+SAME_SIZE_CONTENTS = [
+    (1,) * 7, (2, 1, 1, 1, 1, 1), (2, 2, 1, 1, 1), (2, 2, 2, 1), (3, 1, 2, 1), (1, 3, 3), (0, 4, 0, 3),
+]
+
+
 class TestCaching:
     def test_results_independent_of_cache_mode(self):
         rng = random.Random(20260817)
@@ -254,7 +261,7 @@ class TestCaching:
         assert reused
 
     def test_one_memo_resumed_in_any_order_matches_no_memo(self):
-        """A memo keeps one walk per inner and outer size; calls resume from it in any order."""
+        """A memo keeps one walk per inner and outer shape; calls resume from it in any order."""
         shape, other = SkewShape((4, 3, 1), (2,)), SkewShape((4, 3, 1), (1, 1))
         cases = [
             # two inners on one outer, alternating
@@ -291,10 +298,10 @@ class TestCaching:
             calls.append((content, cache))
             return real_number(shape, content, cache=cache)
 
-        def walk(record, steps, w):
+        def walk(record, steps, bound, w):
             records.append(record)
             walked.append(steps)
-            return real_walk(record, steps, w)
+            return real_walk(record, steps, bound, w)
 
         def strips(shape, size, outer, w):
             if size == 1:
@@ -305,32 +312,44 @@ class TestCaching:
         monkeypatch.setattr(kostka.engine, "_walk", walk)
         monkeypatch.setattr(kostka.engine, "_strips", strips)
         kostka_matrix(6)
-        # one memo for the whole matrix: 11 calls on (6,), one per row, which fill its union
-        assert [content for content, _ in calls] == [(6,)] * 11
-        memo = calls[0][1]
-        assert memo is not None and all(cache is memo for _, cache in calls)
-        record = memo[(), 6]
-        assert len(memo) == 1 and all(r is record for r in records)
-        # each later column is walked on that record once, only up to its trailing 1s
-        assert walked[:11] == [(6,)] * 11
-        assert sorted(walked[11:]) == sorted(mu[: len(mu) - mu.count(1)] for mu in partitions_of(6)[1:])
+        # the first column is 11 calls on (6,), one per row, without a memo
+        assert calls == [((6,), None)] * 11
+        # each later column is walked once, on the sweep's own record, only up to its trailing 1s
+        record = records[0]
+        assert all(r is record for r in records)
+        assert sorted(walked) == sorted(mu[: len(mu) - mu.count(1)] for mu in partitions_of(6)[1:])
         assert all(1 not in steps for steps in walked)
         # one sweep adds every column's 1s, building each one-cell table entry once
-        assert corners and len(corners) == len(set(corners)) == len(record[2][1])
+        assert corners and len(corners) == len(set(corners)) == len(record[0][1])
 
-    def test_outers_widening_the_union_after_walks_match_no_memo(self):
-        """Outers of one size share a record; each new corner of their union resets its tables and its walk."""
-        # every outer but the first and the last widens the union, after walks inside the narrower one filled tables
-        outers = [(2, 2, 2, 1), (3, 2, 1, 1), (3, 3, 1), (4, 2, 1), (5, 1, 1), (7,), (1,) * 7, (4, 3)]
-        contents = [(1,) * 7, (2, 1, 1, 1, 1, 1), (2, 2, 1, 1, 1), (2, 2, 2, 1), (3, 1, 2, 1), (1, 3, 3), (0, 4, 0, 3)]
+    def test_outers_of_one_size_match_no_memo(self):
+        """Outers of one size each keep their own record, resumed as calls on the others come and go."""
         memo = {}
-        calls = [(outer, content) for outer in outers for content in contents]
+        calls = [(outer, content) for outer in SAME_SIZE_OUTERS for content in SAME_SIZE_CONTENTS]
         for outer, content in calls + calls[::-1] + calls:
             assert kostka_number(outer, content, cache=memo) == kostka_number(outer, content)
-        assert len(memo) == 1
+        assert len(memo) == len(SAME_SIZE_OUTERS)
+
+    def test_memo_work_does_not_depend_on_call_order(self, monkeypatch):
+        """The same calls on one memo build the same strips, whichever outer is asked first."""
+        real_strips = kostka.engine._strips
+        built = []
+
+        def strips(shape, size, outer, w):
+            built.append(shape)
+            return real_strips(shape, size, outer, w)
+
+        monkeypatch.setattr(kostka.engine, "_strips", strips)
+        work = []
+        for outers in (SAME_SIZE_OUTERS, sorted(SAME_SIZE_OUTERS, reverse=True)):
+            memo = {}
+            built.clear()
+            counts = {(o, c): kostka_number(o, c, cache=memo) for o in outers for c in SAME_SIZE_CONTENTS}
+            work.append((len(built), counts))
+        assert work[0] == work[1]
 
     def test_skew_inners_sharing_a_size_match_no_memo(self):
-        # records are per inner and size: skew shapes on two inners, over outers of two sizes, interleaved
+        # records are per inner and outer: skew shapes on two inners, over outers of two sizes, interleaved
         shapes = [
             SkewShape(outer, inner)
             for inner in [(2,), (1, 1)]
@@ -341,7 +360,7 @@ class TestCaching:
             for mu in partitions_of(shape.size):
                 for content in (mu, mu[::-1]):
                     assert kostka_number(shape, content, cache=memo) == kostka_number(shape, content)
-        assert sorted(memo) == [((1, 1), 6), ((1, 1), 8), ((2,), 6), ((2,), 8)]
+        assert sorted(memo) == sorted((shape.inner, shape.outer) for shape in shapes)
 
     @settings(deadline=None)
     @given(st.data())

@@ -64,8 +64,9 @@ def test_pinned_suite_totals_hold():
 
 
 def test_traced_children_report_every_layer_metric():
-    # the benchmark refuses a traced run that lacks a per-layer metric; engine.memo_*, for one, shows only
-    # while some call hands kostka_number a cache, so a change that drops every such call fails here first
+    # the benchmark refuses a traced run that lacks a per-layer metric; engine.memo_*, for one, shows only while
+    # the run calls kostka_number (the tracer routes cache=None to its own memo), so a change that drops every
+    # such call fails here first
     per_layer = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
     names = {metric["name"] for metric in per_layer} - {"trace_overhead_ratio"}
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))

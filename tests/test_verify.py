@@ -445,7 +445,7 @@ class TestVerifiers:
             assert row == tuple(kostka_number(shape, mu) for mu in parts[shape.size]), _label(shape)
 
     def test_monotonicity_walks_one_memo_per_inner_and_size(self, monkeypatch):
-        # each _sweep walks one memo, so one call per (inner, size) group is one memo per group
+        # each _sweep walks one record of its own, so one call per (inner, size) group is one walk per group
         groups = []
 
         def sweep(shapes, contents):
